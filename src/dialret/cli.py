@@ -485,6 +485,17 @@ def cmd_make_synthetic_corpus(args, argv) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """argparse type for ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialret",
@@ -508,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg-ratio", type=int, help="negatives per positive")
     p.add_argument("--filter-inverse-count", action="store_true",
                    help="keep each pair with probability 1/count(response)")
-    p.add_argument("--seed", type=int, help="override master seed for sampling")
+    p.add_argument("--seed", type=_seed, help="override master seed for sampling")
 
     p = with_config(sub.add_parser("train", help="train a dual encoder"))
     p.add_argument("--transform", help="negative-sampling transform override")
@@ -543,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--responses", type=int, default=100)
     p.add_argument("--vocab", type=int, default=250)
     p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 

@@ -55,6 +55,7 @@ derived from ``master_seed`` via :mod:`dialret.seeding`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,6 +141,9 @@ class _Validator:
             return default
         if not isinstance(v, kind):
             self.fail(f"{path}{key}", f"expected {kind.__name__}, got {type(v).__name__}")
+            return default
+        if kind is float and not math.isfinite(v):
+            self.fail(f"{path}{key}", f"must be finite, got {v}")
             return default
         if minimum is not None and v < minimum:
             self.fail(f"{path}{key}", f"must be >= {minimum}, got {v}")

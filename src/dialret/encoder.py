@@ -26,6 +26,25 @@ output. Gradients flow through the interaction matrix, both encoders
 (backpropagation through time for the GRU), and optionally the embedding
 rows. The test suite checks every analytic gradient against central
 finite differences.
+
+GRU kernels. The weights are stored fused, gate rows in z, r, h order:
+W = [Wz; Wr; Wh] (3H x D), U = [Uz; Ur; Uh] (3H x H), b (3H); the nine
+per-gate names are row-block views of them. The input projections
+W e_t + b do not depend on the state, so the forward pass computes them
+for every step in one matmul before the recurrence, which then only
+multiplies by Uz and Ur (one batched matmul) and by Uh. Padded steps get
+z = 0 through a -inf update pre-activation, which carries the state
+through them exactly, so neither pass masks inside its loop. The
+backward pass collects the gradients of the three pre-activations of
+every step in one array and forms dW, dU, db and the input gradient from
+it with a few matmuls after the loop.
+
+Training indexes each example set once: contexts and responses become
+OOV-padded token-index matrices with a length per row, and each batch is
+a slice of them, trimmed to its longest sequence. Inference
+(:func:`encode_batch`) runs the forward pass in blocks of
+``ENCODE_BLOCK_ROWS`` rows of similar length and keeps no per-step cache,
+so its memory is bounded by one block whatever the number of sequences.
 """
 
 from __future__ import annotations
@@ -55,6 +74,15 @@ _LOG_EPS = 1e-12
 def sigmoid(x):
     """Numerically stable logistic function, exact about 0.5."""
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+
+
+def _sigmoid_inplace(a: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid` of ``a``, written into ``a`` with the same rounding."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
 def truncate_context(tokens: Sequence[str]) -> Sequence[str]:
@@ -208,40 +236,69 @@ def random_embeddings(
     return EmbeddingTable(vocab, vectors)
 
 
-@dataclass
-class GruParams:
-    """Gate and candidate weights for a single-layer GRU."""
+def _gate_blocks(w: np.ndarray, u: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    """The nine per-gate row blocks of fused (w, u, b), as views."""
+    rows = len(b) // 3
+    return {
+        f"{kind}_{gate}": fused[i * rows : (i + 1) * rows]
+        for i, gate in enumerate("zrh")
+        for kind, fused in (("w", w), ("u", u), ("b", b))
+    }
 
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
+
+class GruParams:
+    """Gate and candidate weights for a single-layer GRU.
+
+    Stored fused with gate rows in z, r, h order: ``w`` (3H x D), ``u``
+    (3H x H) and ``b`` (3H). The keyword constructor, :meth:`tensors` and
+    attribute access use the nine per-gate names ``w_z, u_z, b_z, w_r, ...,
+    b_h``; those are row-block views, so writing one writes the fused
+    storage.
+    """
 
     variant = "gru"
+    NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
+    def __init__(self, *, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
+        w_z = np.asarray(w_z)
+        if w_z.ndim != 2:
+            raise DataError(f"GRU tensor w_z must be 2-D, got shape {w_z.shape}")
+        hidden, dim = w_z.shape
+        given = dict(w_z=w_z, u_z=u_z, b_z=b_z, w_r=w_r, u_r=u_r, b_r=b_r,
+                     w_h=w_h, u_h=u_h, b_h=b_h)
+        expected = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
+        for name, tensor in given.items():
+            shape = np.shape(tensor)
+            if shape != expected[name[0]]:
+                raise DataError(
+                    f"GRU tensor {name} must have shape {expected[name[0]]} "
+                    f"for hidden {hidden} and input dim {dim}, got {shape}"
+                )
+        self.w, self.u, self.b = (
+            np.concatenate([given[f"{kind}_{gate}"] for gate in "zrh"], dtype=np.float64)
+            for kind in "wub"
+        )
 
     @property
     def hidden(self) -> int:
-        return self.w_z.shape[0]
+        return self.u.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_z.shape[1]
+        return self.w.shape[1]
 
     @property
     def output_dim(self) -> int:
         return self.hidden
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "w_z": self.w_z, "u_z": self.u_z, "b_z": self.b_z,
-            "w_r": self.w_r, "u_r": self.u_r, "b_r": self.b_r,
-            "w_h": self.w_h, "u_h": self.u_h, "b_h": self.b_h,
-        }
+        return _gate_blocks(self.w, self.u, self.b)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Only reached for names the instance lacks: the per-gate views.
+        if name in GruParams.NAMES:
+            return self.tensors()[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def create(cls, input_dim: int, hidden: int, rng: np.random.Generator):
@@ -263,6 +320,15 @@ class AttentionParams:
     score: np.ndarray  # (dim,)
 
     variant = "attention"
+    NAMES = ("proj", "score")
+
+    def __post_init__(self):
+        shape = np.shape(self.proj)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.score) != shape[:1]:
+            raise DataError(
+                f"attention tensors must be proj (D, D) and score (D,), "
+                f"got {shape} and {np.shape(self.score)}"
+            )
 
     @property
     def input_dim(self) -> int:
@@ -301,6 +367,12 @@ class DualEncoderModel:
         enc_dim = self.context_encoder.output_dim
         if self.response_encoder.output_dim != enc_dim:
             raise DataError("context and response encoders disagree on output dim")
+        for encoder in (self.context_encoder, self.response_encoder):
+            if encoder.input_dim != self.embeddings.dim:
+                raise DataError(
+                    f"encoder input dim {encoder.input_dim} does not match "
+                    f"embedding dim {self.embeddings.dim}"
+                )
         if self.bilinear.shape != (enc_dim, enc_dim):
             raise DataError(
                 f"interaction matrix must be {(enc_dim, enc_dim)}, "
@@ -376,83 +448,99 @@ def _check_finite(model: DualEncoderModel) -> None:
 def _pad_batch(
     emb: EmbeddingTable, seqs: Sequence[Sequence[str]]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) token indices, OOV-padded to the longest sequence, and the mask."""
     if not seqs:
         raise DataError("empty batch")
-    longest = 0
-    for s in seqs:
-        if len(s) == 0:
-            raise DataError("cannot encode an empty token sequence")
-        longest = max(longest, len(s))
-    idx = np.full((len(seqs), longest), emb.oov_index, dtype=np.int64)
-    mask = np.zeros((len(seqs), longest))
-    for i, s in enumerate(seqs):
-        idx[i, : len(s)] = emb.indices(s)
-        mask[i, : len(s)] = 1.0
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    if lengths.min() == 0:
+        raise DataError("cannot encode an empty token sequence")
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    idx = np.full(mask.shape, emb.oov_index, dtype=np.int64)
+    idx[mask] = emb.indices([t for s in seqs for t in s])
     return idx, mask
 
 
-def _gru_forward(p: GruParams, embedded: np.ndarray, mask: np.ndarray):
+def _time_major(embedded: np.ndarray) -> np.ndarray:
+    """(B, T, D) inputs as (T * B, D) rows, step by step."""
+    return embedded.transpose(1, 0, 2).reshape(-1, embedded.shape[2])
+
+
+def _gru_forward(p: GruParams, embedded: np.ndarray, mask: np.ndarray, keep_cache=True):
     batch, steps, _ = embedded.shape
     hidden = p.hidden
-    h = np.zeros((batch, hidden))
-    gate_z = np.empty((batch, steps, hidden))
-    gate_r = np.empty((batch, steps, hidden))
-    cand = np.empty((batch, steps, hidden))
-    h_prev = np.empty((batch, steps, hidden))
+    # The input projections of every step, one matmul per gate, laid out
+    # (3, T, B, H) so each step's gate blocks are contiguous.
+    w = p.w.reshape(3, hidden, -1).transpose(0, 2, 1)
+    x = (_time_major(embedded) @ w + p.b.reshape(3, 1, hidden)).reshape(3, steps, batch, hidden)
+    # z = 0 at padded steps carries h through them exactly, so neither
+    # pass needs the mask inside its loop.
+    x[0][~mask.T] = -np.inf
+    u_zr = np.ascontiguousarray(p.u[: 2 * hidden].reshape(2, hidden, hidden).transpose(0, 2, 1))
+    u_h = np.ascontiguousarray(p.u[2 * hidden :].T)
+    # Without a cache, one gate slot and two alternating state slots suffice.
+    gates = np.empty((steps if keep_cache else 1, 3, batch, hidden))
+    states = np.zeros((steps + 1 if keep_cache else 2, batch, hidden))
     for t in range(steps):
-        e = embedded[:, t]
-        z = sigmoid(e @ p.w_z.T + h @ p.u_z.T + p.b_z)
-        r = sigmoid(e @ p.w_r.T + h @ p.u_r.T + p.b_r)
-        g = np.tanh(e @ p.w_h.T + (r * h) @ p.u_h.T + p.b_h)
-        m = mask[:, t : t + 1]
-        h_prev[:, t] = h
-        gate_z[:, t] = z
-        gate_r[:, t] = r
-        cand[:, t] = g
-        h = m * ((1.0 - z) * h + z * g) + (1.0 - m) * h
-    return h, (gate_z, gate_r, cand, h_prev)
+        h = states[t % len(states)]
+        h_next = states[(t + 1) % len(states)]
+        step = gates[t % len(gates)]
+        zr, g = step[:2], step[2]
+        np.matmul(h, u_zr, out=zr)
+        zr += x[:2, t]
+        z, r = _sigmoid_inplace(zr)
+        np.matmul(r * h, u_h, out=g)
+        g += x[2, t]
+        np.tanh(g, out=g)
+        np.subtract(1.0, z, out=h_next)
+        h_next *= h
+        h_next += z * g
+    return states[steps % len(states)], (gates, states)
 
 
-def _gru_backward(p: GruParams, embedded, mask, cache, g_out):
-    gate_z, gate_r, cand, h_prev = cache
-    grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
-    d_embedded = np.zeros_like(embedded)
+def _gru_backward(p: GruParams, embedded, cache, g_out, input_grads):
+    gates, states = cache
+    steps, _, batch, hidden = gates.shape
+    z, r, c = gates.transpose(1, 0, 2, 3)
+    h_prev = states[:-1]
+    # What each pre-activation gradient takes from the gradient of the
+    # state a step produces, for every step at once.
+    dz_factor = (c - h_prev) * z * (1.0 - z)
+    dh_factor = z * (1.0 - c * c)
+    dr_factor = h_prev * r * (1.0 - r)
+    carry = 1.0 - z
+    u_z, u_r, u_h = p.u.reshape(3, hidden, hidden)
+    d_pre = np.empty((3, steps, batch, hidden))
+    dz, dr, dh = d_pre
     g = g_out
-    for t in reversed(range(embedded.shape[1])):
-        m = mask[:, t : t + 1]
-        z = gate_z[:, t]
-        r = gate_r[:, t]
-        c = cand[:, t]
-        hp = h_prev[:, t]
-        e = embedded[:, t]
-        gm = g * m
-        daz = gm * (c - hp) * z * (1.0 - z)
-        dah = gm * z * (1.0 - c * c)
-        dar = (dah @ p.u_h) * hp * r * (1.0 - r)
-        grads["w_z"] += daz.T @ e
-        grads["u_z"] += daz.T @ hp
-        grads["b_z"] += daz.sum(axis=0)
-        grads["w_r"] += dar.T @ e
-        grads["u_r"] += dar.T @ hp
-        grads["b_r"] += dar.sum(axis=0)
-        grads["w_h"] += dah.T @ e
-        grads["u_h"] += dah.T @ (r * hp)
-        grads["b_h"] += dah.sum(axis=0)
-        d_embedded[:, t] = daz @ p.w_z + dar @ p.w_r + dah @ p.w_h
-        g = (
-            g * (1.0 - m)
-            + gm * (1.0 - z)
-            + daz @ p.u_z
-            + dar @ p.u_r
-            + ((dah @ p.u_h) * r)
-        )
+    for t in reversed(range(steps)):
+        np.multiply(g, dz_factor[t], out=dz[t])
+        np.multiply(g, dh_factor[t], out=dh[t])
+        dh_u = dh[t] @ u_h
+        np.multiply(dh_u, dr_factor[t], out=dr[t])
+        g = g * carry[t] + dz[t] @ u_z + dr[t] @ u_r + dh_u * r[t]
+    # Sums over all steps and rows: one matmul per gate.
+    rows = d_pre.reshape(3, -1, hidden)
+    rows_t = rows.transpose(0, 2, 1)
+    grad_u = np.concatenate([
+        (rows_t[:2] @ h_prev.reshape(-1, hidden)).reshape(-1, hidden),
+        rows_t[2] @ (r * h_prev).reshape(-1, hidden),
+    ])
+    grads = _gate_blocks(
+        (rows_t @ _time_major(embedded)).reshape(3 * hidden, -1),
+        grad_u,
+        rows.sum(axis=1).reshape(-1),
+    )
+    d_embedded = None
+    if input_grads:
+        d_rows = (rows @ p.w.reshape(3, hidden, -1)).sum(axis=0)
+        d_embedded = d_rows.reshape(steps, batch, -1).transpose(1, 0, 2)
     return grads, d_embedded
 
 
 def _attn_forward(p: AttentionParams, embedded: np.ndarray, mask: np.ndarray):
     hidden = np.tanh(embedded @ p.proj.T)
     scores = hidden @ p.score
-    scores = np.where(mask > 0.5, scores, -np.inf)
+    scores = np.where(mask, scores, -np.inf)
     scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=1, keepdims=True)
@@ -460,7 +548,7 @@ def _attn_forward(p: AttentionParams, embedded: np.ndarray, mask: np.ndarray):
     return out, (hidden, weights)
 
 
-def _attn_backward(p: AttentionParams, embedded, mask, cache, g_out):
+def _attn_backward(p: AttentionParams, embedded, cache, g_out, input_grads):
     hidden, weights = cache
     d_weights = np.einsum("bd,btd->bt", g_out, embedded)
     d_scores = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
@@ -468,29 +556,55 @@ def _attn_backward(p: AttentionParams, embedded, mask, cache, g_out):
     d_hidden = d_scores[..., None] * p.score
     d_pre = d_hidden * (1.0 - hidden * hidden)
     d_proj = np.einsum("btd,bte->de", d_pre, embedded)
-    d_embedded = weights[..., None] * g_out[:, None, :] + d_pre @ p.proj
+    d_embedded = None
+    if input_grads:
+        d_embedded = weights[..., None] * g_out[:, None, :] + d_pre @ p.proj
     return {"proj": d_proj, "score": d_score_vec}, d_embedded
 
 
-def _forward(params: EncoderParams, embedded, mask):
+def _forward(params: EncoderParams, embedded, mask, keep_cache=True):
+    """Encoder output for (B, T, D) inputs and the cache :func:`_backward` reads.
+
+    The GRU cache is ``(gates, states)``, both time-major: z, r and the
+    candidate of every step in one (T, 3, B, H) array, and the (T + 1, B, H)
+    states from h_0 on. With ``keep_cache`` false they hold only the last step.
+    """
     if isinstance(params, GruParams):
-        return _gru_forward(params, embedded, mask)
+        return _gru_forward(params, embedded, mask, keep_cache)
     return _attn_forward(params, embedded, mask)
 
 
-def _backward(params: EncoderParams, embedded, mask, cache, g_out):
+def _backward(params: EncoderParams, embedded, cache, g_out, input_grads):
+    """Parameter gradients and, if ``input_grads``, the input gradient."""
     if isinstance(params, GruParams):
-        return _gru_backward(params, embedded, mask, cache, g_out)
-    return _attn_backward(params, embedded, mask, cache, g_out)
+        return _gru_backward(params, embedded, cache, g_out, input_grads)
+    return _attn_backward(params, embedded, cache, g_out, input_grads)
+
+
+# Rows per forward pass in encode_batch. A block's inputs and input
+# projections, about rows x T x (2D + 3H) floats, are all it holds.
+ENCODE_BLOCK_ROWS = 256
 
 
 def encode_batch(
     params: EncoderParams, emb: EmbeddingTable, seqs: Sequence[Sequence[str]]
 ) -> np.ndarray:
-    """Encode several token sequences at once; rows align with inputs."""
-    idx, mask = _pad_batch(emb, seqs)
-    out, _ = _forward(params, emb.matrix[idx], mask)
+    """Encode several token sequences at once; rows align with inputs.
+
+    Sequences are encoded in blocks of ``ENCODE_BLOCK_ROWS`` in order of
+    length, each block padded to its own longest sequence.
+    """
+    if not seqs:
+        raise DataError("empty batch")
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    order = np.argsort(lengths, kind="stable")
+    out = np.empty((len(seqs), params.output_dim))
+    for start in range(0, len(order), ENCODE_BLOCK_ROWS):
+        rows = order[start : start + ENCODE_BLOCK_ROWS]
+        idx, mask = _pad_batch(emb, [seqs[i] for i in rows])
+        out[rows] = _forward(params, emb.matrix[idx], mask, keep_cache=False)[0]
     return out
+
 
 def encode(
     params: EncoderParams, emb: EmbeddingTable, tokens: Sequence[str]
@@ -521,19 +635,77 @@ def score_pair(
     return float(sigmoid(c @ model.bilinear @ r))
 
 
-def score_candidates(
-    model: DualEncoderModel,
-    context_tokens: Sequence[str],
-    candidate_token_seqs: Sequence[Sequence[str]],
-) -> np.ndarray:
-    """Probabilities of one context against many candidate responses."""
-    c = encode(model.context_encoder, model.embeddings, truncate_context(context_tokens))
-    responses = encode_batch(
-        model.response_encoder,
-        model.embeddings,
-        [truncate_response(t) for t in candidate_token_seqs],
+class _IndexedExamples:
+    """A training set as padded index rows and lengths, built once.
+
+    Each batch slices the rows it needs, trimmed to its longest sequence,
+    so training never looks a token up again.
+    """
+
+    def __init__(self, emb: EmbeddingTable, examples: "Sequence[TrainingExample]"):
+        self.context = self._rows(emb, [truncate_context(ex.context_tokens) for ex in examples])
+        self.response = self._rows(
+            emb, [truncate_response(ex.response_tokens) for ex in examples]
+        )
+        self.labels = np.array([ex.label for ex in examples], dtype=np.float64)
+
+    @staticmethod
+    def _rows(emb, seqs):
+        idx, mask = _pad_batch(emb, seqs)
+        return idx, mask.sum(axis=1)
+
+    def batch(self, rows: np.ndarray):
+        """(context idx, context mask, response idx, response mask, labels)."""
+        parts = []
+        for idx, lengths in (self.context, self.response):
+            lengths = lengths[rows]
+            steps = lengths.max()
+            parts += [idx[rows, :steps], np.arange(steps) < lengths[:, None]]
+        return (*parts, self.labels[rows])
+
+
+def _indexed_loss_and_gradients(model, ctx_idx, ctx_mask, rsp_idx, rsp_mask, labels):
+    """Loss and gradients of a batch given as padded index rows and masks."""
+    _check_finite(model)
+    emb = model.embeddings
+    ctx_embedded = emb.matrix[ctx_idx]
+    rsp_embedded = emb.matrix[rsp_idx]
+    c, ctx_cache = _forward(model.context_encoder, ctx_embedded, ctx_mask)
+    r, rsp_cache = _forward(model.response_encoder, rsp_embedded, rsp_mask)
+    logits = np.sum((c @ model.bilinear) * r, axis=1)
+    p = sigmoid(logits)
+    p_safe = np.clip(p, _LOG_EPS, 1.0 - _LOG_EPS)
+    loss = float(
+        -np.mean(labels * np.log(p_safe) + (1.0 - labels) * np.log(1.0 - p_safe))
     )
-    return sigmoid(responses @ (model.bilinear.T @ c))
+
+    d_logit = (p - labels) / len(labels)
+    d_bilinear = c.T @ (r * d_logit[:, None])
+    d_c = d_logit[:, None] * (r @ model.bilinear.T)
+    d_r = d_logit[:, None] * (c @ model.bilinear)
+    input_grads = model.train_embeddings
+    ctx_grads, d_ctx_embedded = _backward(
+        model.context_encoder, ctx_embedded, ctx_cache, d_c, input_grads
+    )
+    rsp_grads, d_rsp_embedded = _backward(
+        model.response_encoder, rsp_embedded, rsp_cache, d_r, input_grads
+    )
+
+    grads: dict[str, np.ndarray] = {"bilinear": d_bilinear}
+    if model.tied:
+        for key in ctx_grads:
+            grads[f"encoder.{key}"] = ctx_grads[key] + rsp_grads[key]
+    else:
+        for key, value in ctx_grads.items():
+            grads[f"context_encoder.{key}"] = value
+        for key, value in rsp_grads.items():
+            grads[f"response_encoder.{key}"] = value
+    if input_grads:
+        d_matrix = np.zeros_like(emb.matrix)
+        np.add.at(d_matrix, ctx_idx, d_ctx_embedded)
+        np.add.at(d_matrix, rsp_idx, d_rsp_embedded)
+        grads["embeddings.matrix"] = d_matrix
+    return loss, grads
 
 
 def loss_and_gradients(
@@ -547,52 +719,9 @@ def loss_and_gradients(
     """
     if not batch:
         raise DataError("batch must be non-empty")
-    _check_finite(model)
-    emb = model.embeddings
-    ctx_idx, ctx_mask = _pad_batch(
-        emb, [truncate_context(ex.context_tokens) for ex in batch]
-    )
-    rsp_idx, rsp_mask = _pad_batch(
-        emb, [truncate_response(ex.response_tokens) for ex in batch]
-    )
-    labels = np.array([ex.label for ex in batch], dtype=np.float64)
-    ctx_embedded = emb.matrix[ctx_idx]
-    rsp_embedded = emb.matrix[rsp_idx]
-    c, ctx_cache = _forward(model.context_encoder, ctx_embedded, ctx_mask)
-    r, rsp_cache = _forward(model.response_encoder, rsp_embedded, rsp_mask)
-    logits = np.sum((c @ model.bilinear) * r, axis=1)
-    p = sigmoid(logits)
-    p_safe = np.clip(p, _LOG_EPS, 1.0 - _LOG_EPS)
-    loss = float(
-        -np.mean(labels * np.log(p_safe) + (1.0 - labels) * np.log(1.0 - p_safe))
-    )
-
-    d_logit = (p - labels) / len(batch)
-    d_bilinear = c.T @ (r * d_logit[:, None])
-    d_c = d_logit[:, None] * (r @ model.bilinear.T)
-    d_r = d_logit[:, None] * (c @ model.bilinear)
-    ctx_grads, d_ctx_embedded = _backward(
-        model.context_encoder, ctx_embedded, ctx_mask, ctx_cache, d_c
-    )
-    rsp_grads, d_rsp_embedded = _backward(
-        model.response_encoder, rsp_embedded, rsp_mask, rsp_cache, d_r
-    )
-
-    grads: dict[str, np.ndarray] = {"bilinear": d_bilinear}
-    if model.tied:
-        for key in ctx_grads:
-            grads[f"encoder.{key}"] = ctx_grads[key] + rsp_grads[key]
-    else:
-        for key, value in ctx_grads.items():
-            grads[f"context_encoder.{key}"] = value
-        for key, value in rsp_grads.items():
-            grads[f"response_encoder.{key}"] = value
-    if model.train_embeddings:
-        d_matrix = np.zeros_like(emb.matrix)
-        np.add.at(d_matrix, ctx_idx, d_ctx_embedded)
-        np.add.at(d_matrix, rsp_idx, d_rsp_embedded)
-        grads["embeddings.matrix"] = d_matrix
-    return loss, grads
+    return _indexed_loss_and_gradients(model, *_IndexedExamples(model.embeddings, batch).batch(
+        np.arange(len(batch))
+    ))
 
 
 @dataclass
@@ -644,7 +773,8 @@ def train(
     Each epoch shuffles the examples with the config seed's generator and
     slices consecutive batches (the last one may be short). ``resampler``,
     if given, is called with the epoch number and must return that epoch's
-    training examples; by default the set is fixed once.
+    training examples; by default the set is fixed once. Each set is
+    turned into token-index rows once, and batches slice those rows.
 
     Raises DivergenceError when the loss goes non-finite.
     """
@@ -655,18 +785,22 @@ def train(
     trace: list[tuple[int, float]] = []
     iteration = 0
     epoch = 0
+    indexed = None
     while iteration < config.max_iterations:
         if resampler is not None:
             examples = resampler(epoch)
             if not examples:
                 raise DataError(f"resampler returned no examples for epoch {epoch}")
+            indexed = None
+        if indexed is None:
+            indexed = _IndexedExamples(model.embeddings, examples)
         order = rng.permutation(len(examples))
         for start in range(0, len(order), config.batch_size):
             if iteration >= config.max_iterations:
                 break
             iteration += 1
-            batch = [examples[i] for i in order[start : start + config.batch_size]]
-            loss, grads = loss_and_gradients(model, batch)
+            batch = indexed.batch(order[start : start + config.batch_size])
+            loss, grads = _indexed_loss_and_gradients(model, *batch)
             if not np.isfinite(loss):
                 raise DivergenceError(iteration, loss)
             norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
@@ -744,9 +878,12 @@ def load_checkpoint(path) -> DualEncoderModel:
             for name, tensor in tensors.items()
             if name.startswith(prefix)
         }
-        if header["variant"] == "gru":
-            return GruParams(**sub)
-        return AttentionParams(**sub)
+        cls = GruParams if header["variant"] == "gru" else AttentionParams
+        if sorted(sub) != sorted(cls.NAMES):
+            raise DataError(
+                f"checkpoint {prefix}* tensors are {sorted(sub)}, expected {list(cls.NAMES)}"
+            )
+        return cls(**sub)
 
     if header["tied"]:
         context = build_params("encoder.")

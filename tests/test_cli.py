@@ -1,6 +1,8 @@
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dialret.cli import main
@@ -78,6 +80,27 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text("{nope", encoding="utf-8")
         assert main(["ingest", "--config", str(path)]) == 2
+
+    def test_non_finite_floats_rejected(self, tmp_path, capsys):
+        bad = {
+            "train": {"learning_rate": float("nan"), "gradient_clip_norm": float("inf"),
+                      "batch_size": 0},
+            "encoder": {"embedding_scale": float("-inf")},
+            "retrieval": {"response_weight": float("nan")},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        text = str(exc.value)
+        for field in (
+            "train.learning_rate", "train.gradient_clip_norm", "train.batch_size",
+            "encoder.embedding_scale", "retrieval.response_weight",
+        ):
+            assert field in text, field
+        assert main(["stats", "--config", str(path)]) == 2
+        assert "train.learning_rate" in capsys.readouterr().err
 
     def test_valid_config_defaults(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -194,6 +217,46 @@ class TestSubcommands:
 
     def test_eval_requires_scorer(self, workspace):
         assert main(["eval", "--config", str(workspace / "config.json")]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl"],
+        ["build-trainset", "--config", "{root}/config.json"],
+    ])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, command):
+        argv = [arg.format(root=workspace) for arg in command] + ["--seed", "-1"]
+        assert main(argv) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (workspace / "neg.jsonl").exists()
+
+    @pytest.mark.parametrize("defect", ["missing", "misshapen"])
+    def test_bad_gru_tensor_in_checkpoint_exit_4(self, workspace, tmp_path, capsys, defect):
+        data = (workspace / "out" / "model_identity.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + header_len])
+        payload = data[16 + header_len :]
+        tensors, offset = [], 0
+        for name, shape in header["tensors"]:
+            size = 8 * int(np.prod(shape))
+            tensors.append([name, shape, payload[offset : offset + size]])
+            offset += size
+        if defect == "missing":
+            tensors = [t for t in tensors if t[0] != "encoder.u_h"]
+        else:
+            tensor = next(t for t in tensors if t[0] == "encoder.b_r")
+            tensor[1] = [tensor[1][0] - 1]
+            tensor[2] = tensor[2][:-8]
+        header["tensors"] = [[name, shape] for name, shape, _ in tensors]
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(
+            data[:8] + struct.pack("<Q", len(blob)) + blob
+            + b"".join(raw for _, _, raw in tensors)
+        )
+        config = workspace / "config.json"
+        assert main(["eval", "--config", str(config), "--checkpoint", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert ("u_h" if defect == "missing" else "b_r") in err
 
     def test_missing_input_exit_3(self, workspace):
         assert main([

@@ -54,6 +54,30 @@ def random_batch(vocab, rng, size=6):
     return batch
 
 
+def random_gru(input_dim, hidden, seed):
+    """GRU weights and biases all drawn at random, so every block matters."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.normal(scale=0.6, size=shape)
+    return GruParams(
+        w_z=draw(hidden, input_dim), u_z=draw(hidden, hidden), b_z=draw(hidden),
+        w_r=draw(hidden, input_dim), u_r=draw(hidden, hidden), b_r=draw(hidden),
+        w_h=draw(hidden, input_dim), u_h=draw(hidden, hidden), b_h=draw(hidden),
+    )
+
+
+def reference_gru(params, emb, tokens):
+    """Final GRU state by the module docstring's per-gate equations."""
+    t = params.tensors()
+    h = np.zeros(params.hidden)
+    for token in tokens:
+        e = emb.vector(token)
+        z = sigmoid(t["w_z"] @ e + t["u_z"] @ h + t["b_z"])
+        r = sigmoid(t["w_r"] @ e + t["u_r"] @ h + t["b_r"])
+        g = np.tanh(t["w_h"] @ e + t["u_h"] @ (r * h) + t["b_h"])
+        h = (1.0 - z) * h + z * g
+    return h
+
+
 class TestLoadEmbeddings:
     def test_oov_is_mean_of_rows(self):
         table = load_embeddings(["2 2\n", "a 1 0\n", "b 0 1\n"])
@@ -151,8 +175,8 @@ class TestEncode:
         for _ in range(10):
             tokens = [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(2, 12)))]
             idx, mask = _pad_batch(emb, [tokens])
-            final, (_, _, _, h_prev) = _forward(params, emb.matrix[idx], mask)
-            states = np.concatenate([h_prev[0, 1:], final], axis=0)
+            final, (_, h) = _forward(params, emb.matrix[idx], mask)
+            states = np.concatenate([h[1:-1, 0], final], axis=0)
             assert np.all(states > -1.0) and np.all(states < 1.0)
 
     def test_gru_is_order_sensitive(self):
@@ -183,6 +207,38 @@ class TestEncode:
             batched = encode_batch(params, emb, seqs)
             for i, seq in enumerate(seqs):
                 assert np.allclose(batched[i], encode(params, emb, seq), atol=1e-12)
+
+    def test_fused_forward_matches_per_gate_reference(self):
+        emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=14)
+        params = random_gru(6, 5, seed=15)
+        rng = np.random.default_rng(16)
+        # Mixed lengths, so most rows are padded for some steps.
+        seqs = [
+            [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 10)))]
+            for _ in range(9)
+        ]
+        from dialret.encoder import _forward, _pad_batch
+
+        idx, mask = _pad_batch(emb, seqs)
+        assert not mask.all()
+        final, _ = _forward(params, emb.matrix[idx], mask)
+        for row, seq in zip(final, seqs):
+            assert np.max(np.abs(row - reference_gru(params, emb, seq))) < 1e-12
+
+    def test_encode_batch_over_several_blocks(self):
+        from dialret.encoder import ENCODE_BLOCK_ROWS
+
+        emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=17)
+        rng = np.random.default_rng(18)
+        seqs = [
+            [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 14)))]
+            for _ in range(2 * ENCODE_BLOCK_ROWS + 7)
+        ]
+        for params in (random_gru(6, 5, seed=19),
+                       AttentionParams.create(6, np.random.default_rng(20))):
+            batched = encode_batch(params, emb, seqs)
+            single = np.array([encode(params, emb, seq) for seq in seqs])
+            assert np.max(np.abs(batched - single)) < 1e-12
 
     def test_empty_tokens_rejected(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=0)
@@ -347,6 +403,68 @@ class TestTrain:
                                            max_iterations=300, seed=0, eval_every=100))
         last = loss_and_gradients(model, examples)[0]
         assert last < first / 2
+
+
+    @pytest.mark.parametrize("variant", ["gru", "attention"])
+    @pytest.mark.parametrize("train_embeddings", [False, True])
+    def test_first_step_is_loss_and_gradients_plus_clipped_sgd(
+        self, variant, train_embeddings
+    ):
+        def make():
+            emb = random_embeddings(tiny_vocab(20), 6, 1.0, seed=21)
+            return DualEncoderModel.create(emb, variant=variant, hidden=6, seed=22,
+                                           tied=False, train_embeddings=train_embeddings)
+
+        examples = random_batch(tiny_vocab(20), np.random.default_rng(23), size=30)
+        config = TrainConfig(learning_rate=0.8, batch_size=8, max_iterations=1, seed=24,
+                             gradient_clip_norm=1e-3, eval_every=1)
+        trained = make()
+        result = train(trained, examples, config)
+
+        expected = make()
+        order = np.random.default_rng(config.seed).permutation(len(examples))
+        batch = [examples[i] for i in order[: config.batch_size]]
+        loss, grads = loss_and_gradients(expected, batch)
+        norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+        assert norm > config.gradient_clip_norm
+        step = config.learning_rate * (config.gradient_clip_norm / norm)
+        for name, tensor in expected.trainable_tensors().items():
+            tensor -= step * grads[name]
+
+        assert result.loss_trace == [(1, loss)]
+        for name, tensor in trained.trainable_tensors().items():
+            assert np.array_equal(tensor, expected.trainable_tensors()[name]), name
+
+
+class TestGruParams:
+    def test_tensors_are_views_of_fused_storage(self):
+        params = random_gru(4, 3, seed=25)
+        assert params.w.shape == (9, 4) and params.u.shape == (9, 3)
+        assert params.b.shape == (9,)
+        tensors = params.tensors()
+        assert list(tensors) == list(GruParams.NAMES)
+        tensors["u_r"][1, 2] = 7.0
+        assert params.u[3 + 1, 2] == 7.0
+        params.b_h[0] = -2.0
+        assert params.b[6] == -2.0 and params.tensors()["b_h"][0] == -2.0
+
+    @pytest.mark.parametrize("name, shape", [
+        ("w_r", (3, 5)), ("u_h", (3, 4)), ("b_z", (4,)), ("w_z", (3,)),
+    ])
+    def test_misshapen_tensor_rejected(self, name, shape):
+        blocks = random_gru(4, 3, seed=26).tensors()
+        blocks[name] = np.zeros(shape)
+        with pytest.raises(DataError, match=name):
+            GruParams(**blocks)
+
+
+class TestAttentionParams:
+    @pytest.mark.parametrize("proj, score", [
+        ((3, 3), (2,)), ((3, 2), (3,)), ((3,), (3,)),
+    ])
+    def test_misshapen_tensor_rejected(self, proj, score):
+        with pytest.raises(DataError, match="attention tensors"):
+            AttentionParams(proj=np.zeros(proj), score=np.zeros(score))
 
 
 class TestCheckpoint:
