@@ -1,0 +1,92 @@
+"""The binary container shared by checkpoints and history indexes.
+
+Byte layout, version 1:
+
+    bytes 0..5      magic, six bytes naming the format
+    bytes 6..7      format version, uint16 little-endian
+    bytes 8..15     header length L, uint64 little-endian
+    bytes 16..16+L  UTF-8 JSON header, keys sorted
+    then the header's tensors in order, float64 little-endian, row-major,
+    no padding, and nothing after the last one.
+
+Each format's header lists its own payload tensors; the reader takes that
+list from a ``layout`` function and checks every length against the file,
+so a malformed file of either format raises :class:`DataError`.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import struct
+from typing import Callable, Iterable
+
+import numpy as np
+
+from .errors import DataError
+
+VERSION = 1
+_PREFIX_BYTES = 16
+
+
+def write_container(path, magic: bytes, header: dict, tensors: Iterable[np.ndarray]) -> None:
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<H", VERSION) + struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for tensor in tensors:
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+
+
+def _size(shape) -> int:
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"bad tensor shape {shape!r}")
+    return math.prod(shape)
+
+
+def read_container(
+    path, magic: bytes, kind: str,
+    layout: Callable[[dict], list], build: Callable[[dict, dict], object],
+):
+    """``build(header, tensors)`` for the container file at ``path``.
+
+    ``layout(header)`` lists the payload as ``(name, shape)`` pairs in file
+    order. A wrong magic or version, a short or overlong file, a header
+    that is not JSON, and a ``KeyError``, ``TypeError`` or ``ValueError``
+    raised by ``layout`` or ``build`` all become :class:`DataError`.
+    """
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX_BYTES)
+        if prefix[:6] != magic:
+            raise DataError(f"not a {kind} file (magic {prefix[:6]!r})")
+        if len(prefix) < _PREFIX_BYTES:
+            raise DataError(f"{kind} file truncated in its {_PREFIX_BYTES}-byte prefix")
+        version, header_len = struct.unpack_from("<HQ", prefix, 6)
+        if version != VERSION:
+            raise DataError(f"unsupported {kind} version {version}")
+        # Every length is checked against the file size before it is read,
+        # so a corrupt length never asks for more memory than the file holds.
+        offset = _PREFIX_BYTES + header_len
+        if file_size < offset:
+            raise DataError(f"{kind} file truncated in its header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            tensors: dict[str, np.ndarray] = {}
+            for name, shape in layout(header):
+                size = 8 * _size(shape)
+                if name in tensors:
+                    raise ValueError(f"tensor {name!r} listed twice")
+                if file_size < offset + size:
+                    raise DataError(f"{kind} truncated while reading {name!r}")
+                tensors[name] = (
+                    np.frombuffer(fh.read(size), "<f8").astype(np.float64).reshape(shape)
+                )
+                offset += size
+            if file_size != offset:
+                raise DataError(f"{kind} file has {file_size - offset} bytes after its payload")
+            return build(header, tensors)
+        except (KeyError, TypeError, ValueError) as exc:
+            # JSON and UTF-8 decode errors are ValueErrors too.
+            raise DataError(f"malformed {kind} file: {type(exc).__name__}: {exc}") from None

@@ -1,11 +1,13 @@
 """Command-line entry point wiring all modules into reproducible runs.
 
 Subcommands: ingest, stats, build-trainset, train, retrieve, eval, grid,
-export-anno, score-anno, make-synthetic-corpus. Each one reads its inputs
-from a JSON config file (flags override individual fields), writes its
-artifacts under the configured output directory, and drops a
+export-anno, score-anno, make-synthetic-corpus. All but the last three
+read a JSON config file (flags override individual fields), write their
+artifacts under the configured output directory, and drop a
 ``<command>.manifest.json`` with the argv, config echo, and SHA-256 of
 every input and output, so any artifact can be traced and regenerated.
+``retrieve``, ``score-anno`` and ``make-synthetic-corpus`` take their
+inputs from flags alone and write no manifest.
 
 Exit codes: 0 success, 2 bad usage or config, 3 missing input file,
 4 malformed data, 5 numerical failure, 1 anything else.
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
-
 
 from . import corpus as corpus_mod
 from . import distribution as dist_mod
@@ -35,10 +38,6 @@ from .seeding import derive_rng, derive_seed
 logger = logging.getLogger("dialret")
 
 
-def _sha256(path: Path) -> str:
-    return retr_mod.file_sha256(path)
-
-
 def _write_manifest(
     cfg_dir: Path, command: str, argv, cfg: ExperimentConfig | None,
     inputs: list[Path], outputs: list[Path],
@@ -48,8 +47,8 @@ def _write_manifest(
         "argv": list(argv),
         "master_seed": cfg.master_seed if cfg else None,
         "config": cfg.raw if cfg else None,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": {str(p): retr_mod.file_sha256(p) for p in inputs},
+        "outputs": {str(p): retr_mod.file_sha256(p) for p in outputs},
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = cfg_dir / f"{command}.manifest.json"
@@ -60,28 +59,40 @@ def _write_manifest(
     return path
 
 
-def _load_corpus(cfg: ExperimentConfig) -> corpus_mod.ParseResult:
-    if cfg.corpus_path is None:
-        raise ConfigError("this command needs paths.corpus in the config")
-    with open(cfg.corpus_path, encoding="utf-8") as fh:
-        return corpus_mod.parse_dialogues(fh)
+class _Corpus:
+    """The configured corpus as every corpus-reading command sees it.
 
+    The corpus is parsed once; the seeded split, the pairs of each split
+    and the training response distribution are computed on first use and
+    then reused, so a command pays only for what it reads.
+    """
 
-def _split(cfg: ExperimentConfig, dialogues):
-    spec = cfg.split_spec(seed=derive_seed(cfg.master_seed, "split"))
-    return corpus_mod.split_corpus(dialogues, spec)
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        with open(cfg.corpus_path, encoding="utf-8") as fh:
+            self.parsed = corpus_mod.parse_dialogues(fh)
+        self._pairs: dict[str, list[corpus_mod.ContextResponsePair]] = {}
 
+    @functools.cached_property
+    def splits(self) -> dict[str, list[corpus_mod.Dialogue]]:
+        spec = self.cfg.split_spec(seed=derive_seed(self.cfg.master_seed, "split"))
+        parts = corpus_mod.split_corpus(self.parsed.dialogues, spec)
+        return dict(zip(("train", "dev", "test"), parts))
 
-def _select_split(cfg: ExperimentConfig, name: str):
-    result = _load_corpus(cfg)
-    if name == "all":
-        return list(result.dialogues)
-    train, dev, test = _split(cfg, result.dialogues)
-    return {"train": train, "dev": dev, "test": test}[name]
+    def dialogues(self, split: str) -> list[corpus_mod.Dialogue]:
+        """One split's dialogues, or the whole corpus for ``"all"``."""
+        return list(self.parsed.dialogues) if split == "all" else self.splits[split]
 
+    def pairs(self, split: str) -> list[corpus_mod.ContextResponsePair]:
+        if split not in self._pairs:
+            self._pairs[split] = corpus_mod.extract_all_pairs(
+                self.dialogues(split), self.cfg.max_context_turns
+            )
+        return self._pairs[split]
 
-def _pairs_for(cfg: ExperimentConfig, dialogues):
-    return corpus_mod.extract_all_pairs(dialogues, cfg.max_context_turns)
+    @functools.cached_property
+    def train_dist(self) -> dist_mod.ResponseDistribution:
+        return dist_mod.count_responses(self.pairs("train"))
 
 
 def _embeddings_for(cfg: ExperimentConfig, train_dialogues) -> enc_mod.EmbeddingTable:
@@ -110,22 +121,21 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 def cmd_ingest(args, argv) -> int:
     cfg = load_config(args.config, require_corpus=True)
     out = _outdir(cfg)
-    result = _load_corpus(cfg)
+    data = _Corpus(cfg)
     errors_path = out / "ingest_errors.txt"
     with open(errors_path, "w", encoding="utf-8") as fh:
-        for err in result.errors:
+        for err in data.parsed.errors:
             fh.write(str(err) + "\n")
-    train, dev, test = _split(cfg, result.dialogues)
     outputs = [errors_path]
-    for name, part in (("train", train), ("dev", dev), ("test", test)):
+    for name, part in data.splits.items():
         path = out / f"{name}.ids"
         corpus_mod.write_split_manifest(path, part)
         outputs.append(path)
     _write_manifest(out, "ingest", argv, cfg, [cfg.corpus_path], outputs)
+    sizes = "/".join(str(len(part)) for part in data.splits.values())
     print(
-        f"ingested {len(result.dialogues)} dialogues "
-        f"({len(result.errors)} rejected); "
-        f"split {len(train)}/{len(dev)}/{len(test)} -> {out}"
+        f"ingested {len(data.parsed.dialogues)} dialogues "
+        f"({len(data.parsed.errors)} rejected); split {sizes} -> {out}"
     )
     return 0
 
@@ -133,9 +143,7 @@ def cmd_ingest(args, argv) -> int:
 def cmd_stats(args, argv) -> int:
     cfg = load_config(args.config, require_corpus=True)
     out = _outdir(cfg)
-    dialogues = _select_split(cfg, args.split)
-    pairs = _pairs_for(cfg, dialogues)
-    dist = dist_mod.count_responses(pairs)
+    dist = dist_mod.count_responses(_Corpus(cfg).pairs(args.split))
     report = dist_mod.distribution_report(dist)
     text = dist_mod.format_report(report)
     path = out / f"stats_{args.split}.tsv"
@@ -151,20 +159,20 @@ def cmd_build_trainset(args, argv) -> int:
     out = _outdir(cfg)
     transform_label = args.transform or cfg.sampling_transform
     spec = dist_mod.TransformSpec.parse(transform_label)
-    neg = args.neg_ratio or cfg.neg_per_pos
+    neg = args.neg_ratio if args.neg_ratio is not None else cfg.neg_per_pos
     filter_flag = cfg.filter_by_inverse_count or args.filter_inverse_count
     strategy = samp_mod.SamplingStrategy(
         transform=spec, neg_per_pos=neg, filter_by_inverse_count=filter_flag
     )
-    train_dialogues = _select_split(cfg, "train")
-    pairs = _pairs_for(cfg, train_dialogues)
-    dist = dist_mod.count_responses(pairs)
+    data = _Corpus(cfg)
     embeddings = (
-        _embeddings_for(cfg, train_dialogues) if spec.kind == "kde" else None
+        _embeddings_for(cfg, data.dialogues("train")) if spec.kind == "kde" else None
     )
     seed = args.seed if args.seed is not None else cfg.master_seed
     rng = derive_rng(seed, "trainset", transform_label)
-    examples = samp_mod.build_training_set(pairs, dist, strategy, rng, embeddings)
+    examples = samp_mod.build_training_set(
+        data.pairs("train"), data.train_dist, strategy, rng, embeddings
+    )
     suffix = _safe_label(transform_label) + ("_filtered" if filter_flag else "")
     path = out / f"trainset_{suffix}.jsonl"
     samp_mod.write_training_set(path, examples)
@@ -175,17 +183,17 @@ def cmd_build_trainset(args, argv) -> int:
 
 
 def _train_one_variant(
-    cfg: ExperimentConfig, transform_label: str, out: Path,
-    train_dialogues, write_artifacts: bool = True,
+    cfg: ExperimentConfig, transform_label: str, out: Path, data: _Corpus
 ):
-    """Build trainset, train a model, optionally persist everything.
+    """Build a trainset, train a model, and persist everything.
 
     Returns (model, checkpoint_path, index_path, artifact_paths).
     """
-    pairs = _pairs_for(cfg, train_dialogues)
-    dist = dist_mod.count_responses(pairs)
+    pairs, dist = data.pairs("train"), data.train_dist
     spec = dist_mod.TransformSpec.parse(transform_label)
-    embeddings_table = _embeddings_for(cfg, train_dialogues)
+    # A fresh table per variant: training with train_embeddings updates
+    # its matrix in place.
+    embeddings_table = _embeddings_for(cfg, data.dialogues("train"))
     strategy = samp_mod.SamplingStrategy(
         transform=spec,
         neg_per_pos=cfg.neg_per_pos,
@@ -219,29 +227,25 @@ def _train_one_variant(
         )
     result = enc_mod.train(model, examples, train_config, resampler=resampler)
     suffix = _safe_label(transform_label)
-    artifacts: list[Path] = []
+    trainset_path = out / f"trainset_{suffix}.jsonl"
+    samp_mod.write_training_set(trainset_path, examples)
     ckpt_path = out / f"model_{suffix}.ckpt"
+    enc_mod.save_checkpoint(model, ckpt_path)
+    trace_path = out / f"train_{suffix}_loss.tsv"
+    with open(trace_path, "w", encoding="utf-8") as fh:
+        for iteration, loss in result.loss_trace:
+            fh.write(f"{iteration}\t{loss!r}\n")
+    artifacts = [trainset_path, ckpt_path, trace_path]
     index_path = None
-    if write_artifacts:
-        trainset_path = out / f"trainset_{suffix}.jsonl"
-        samp_mod.write_training_set(trainset_path, examples)
-        artifacts.append(trainset_path)
-        enc_mod.save_checkpoint(model, ckpt_path)
-        artifacts.append(ckpt_path)
-        trace_path = out / f"train_{suffix}_loss.tsv"
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            for iteration, loss in result.loss_trace:
-                fh.write(f"{iteration}\t{loss!r}\n")
-        artifacts.append(trace_path)
-        if cfg.build_index:
-            index = retr_mod.build_history_index(
-                model, pairs, cfg.response_weight,
-                checkpoint_ref=ckpt_path.name,
-                checkpoint_sha256=_sha256(ckpt_path),
-            )
-            index_path = out / f"history_{suffix}.idx"
-            retr_mod.save_index(index, index_path)
-            artifacts.append(index_path)
+    if cfg.build_index:
+        index = retr_mod.build_history_index(
+            model, pairs, cfg.response_weight,
+            checkpoint_ref=ckpt_path.name,
+            checkpoint_sha256=retr_mod.file_sha256(ckpt_path),
+        )
+        index_path = out / f"history_{suffix}.idx"
+        retr_mod.save_index(index, index_path)
+        artifacts.append(index_path)
     return model, ckpt_path, index_path, artifacts
 
 
@@ -249,10 +253,7 @@ def cmd_train(args, argv) -> int:
     cfg = load_config(args.config, require_corpus=True)
     out = _outdir(cfg)
     label = args.transform or cfg.sampling_transform
-    train_dialogues = _select_split(cfg, "train")
-    _, ckpt, index_path, artifacts = _train_one_variant(
-        cfg, label, out, train_dialogues
-    )
+    _, ckpt, index_path, artifacts = _train_one_variant(cfg, label, out, _Corpus(cfg))
     _write_manifest(out, "train", argv, cfg, [cfg.corpus_path], artifacts)
     where = f"{ckpt}" + (f" and {index_path}" if index_path else "")
     print(f"trained '{label}' variant -> {where}")
@@ -272,7 +273,7 @@ def _load_index_with_model(index_path: Path, checkpoint: str | None):
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint {ckpt_path} not found")
     if index.checkpoint_sha256:
-        actual = _sha256(ckpt_path)
+        actual = retr_mod.file_sha256(ckpt_path)
         if actual != index.checkpoint_sha256:
             raise DataError(
                 f"checkpoint {ckpt_path} hash {actual[:12]}... does not match "
@@ -309,19 +310,14 @@ def _eval_config(cfg: ExperimentConfig, alt_label: str) -> eval_mod.EvalConfig:
 def cmd_eval(args, argv) -> int:
     cfg = load_config(args.config, require_corpus=True)
     out = _outdir(cfg)
-    result = _load_corpus(cfg)
-    train_d, dev_d, test_d = _split(cfg, result.dialogues)
-    eval_dialogues = {"train": train_d, "dev": dev_d, "test": test_d}[cfg.eval_split]
-    train_pairs = _pairs_for(cfg, train_d)
-    test_pairs = _pairs_for(cfg, eval_dialogues)
-    train_dist = dist_mod.count_responses(train_pairs)
+    data = _Corpus(cfg)
+    test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
     alt_label = args.alternative_transform or cfg.eval_alternative_transform
     eval_cfg = _eval_config(cfg, alt_label)
 
     inputs = [cfg.corpus_path]
     if args.index:
-        index = _load_index_with_model(Path(args.index), args.checkpoint)
-        scorer = index
+        scorer = _load_index_with_model(Path(args.index), args.checkpoint)
         scorer_name = "history-index"
         inputs.append(Path(args.index))
     elif args.checkpoint:
@@ -336,7 +332,7 @@ def cmd_eval(args, argv) -> int:
 
     embeddings = None
     if eval_cfg.alternative_transform.kind == "kde":
-        embeddings = _embeddings_for(cfg, train_d)
+        embeddings = _embeddings_for(cfg, data.dialogues("train"))
     report = eval_mod.evaluate(scorer, test_pairs, train_dist, eval_cfg, embeddings)
     text = eval_mod.format_eval_report(report)
     path = out / f"eval_{scorer_name}_{_safe_label(alt_label)}.txt"
@@ -350,20 +346,14 @@ def cmd_eval(args, argv) -> int:
 def cmd_grid(args, argv) -> int:
     cfg = load_config(args.config, require_corpus=True)
     out = _outdir(cfg)
-    result = _load_corpus(cfg)
-    train_d, dev_d, test_d = _split(cfg, result.dialogues)
-    eval_dialogues = {"train": train_d, "dev": dev_d, "test": test_d}[cfg.eval_split]
-    train_pairs = _pairs_for(cfg, train_d)
-    test_pairs = _pairs_for(cfg, eval_dialogues)
-    train_dist = dist_mod.count_responses(train_pairs)
+    data = _Corpus(cfg)
+    test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
 
     scorers: dict[str, object] = {}
     artifacts: list[Path] = []
     for label in cfg.grid_train_transforms:
         logger.info("grid: training variant %r", label)
-        model, _, _, model_artifacts = _train_one_variant(
-            cfg, label, out, train_d
-        )
+        model, _, _, model_artifacts = _train_one_variant(cfg, label, out, data)
         scorers[label] = model
         artifacts.extend(model_artifacts)
 
@@ -372,7 +362,7 @@ def cmd_grid(args, argv) -> int:
     }
     embeddings = None
     if any(spec.kind == "kde" for spec in alt_transforms.values()):
-        embeddings = _embeddings_for(cfg, train_d)
+        embeddings = _embeddings_for(cfg, data.dialogues("train"))
     eval_cfg = _eval_config(cfg, cfg.grid_alt_transforms[0])
     grid = eval_mod.cross_distribution_grid(
         scorers, alt_transforms, test_pairs, train_dist, eval_cfg, embeddings
@@ -396,12 +386,8 @@ def cmd_grid(args, argv) -> int:
 def cmd_export_anno(args, argv) -> int:
     cfg = load_config(args.config, require_corpus=True)
     out = _outdir(cfg)
-    result = _load_corpus(cfg)
-    train_d, dev_d, test_d = _split(cfg, result.dialogues)
-    eval_dialogues = {"train": train_d, "dev": dev_d, "test": test_d}[cfg.eval_split]
-    train_pairs = _pairs_for(cfg, train_d)
-    test_pairs = _pairs_for(cfg, eval_dialogues)
-    pool = dist_mod.count_responses(train_pairs).responses
+    data = _Corpus(cfg)
+    test_pairs, pool = data.pairs(cfg.eval_split), data.train_dist.responses
 
     scorers: dict[str, object] = {}
     inputs = [cfg.corpus_path]
@@ -485,15 +471,26 @@ def cmd_make_synthetic_corpus(args, argv) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    """argparse type for ``--seed``: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _number(kind: type, minimum: int | None = None):
+    """argparse type for a finite ``kind`` value of at least ``minimum``."""
+    what = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        minimum, "a finite number"
+    )
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if (
+            value is None
+            or (kind is float and not math.isfinite(value))
+            or (minimum is not None and value < minimum)
+        ):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,10 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_config(sub.add_parser("build-trainset", help="sample a training set"))
     p.add_argument("--transform", help="identity | uniform | power:D | kde:H")
-    p.add_argument("--neg-ratio", type=int, help="negatives per positive")
+    p.add_argument("--neg-ratio", type=_number(int, 1), help="negatives per positive")
     p.add_argument("--filter-inverse-count", action="store_true",
                    help="keep each pair with probability 1/count(response)")
-    p.add_argument("--seed", type=_seed, help="override master seed for sampling")
+    p.add_argument("--seed", type=_number(int, 0),
+                   help="override master seed for sampling")
 
     p = with_config(sub.add_parser("train", help="train a dual encoder"))
     p.add_argument("--transform", help="negative-sampling transform override")
@@ -527,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="query a history index")
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--top-k", type=int, default=3)
+    p.add_argument("--top-k", type=_number(int, 1), default=3)
     p.add_argument("--checkpoint", help="encoder checkpoint (default: index ref)")
 
     p = with_config(sub.add_parser("eval", help="recall@k on a split"))
@@ -553,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialogues", type=int, default=2000)
     p.add_argument("--responses", type=int, default=100)
     p.add_argument("--vocab", type=int, default=250)
-    p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--exponent", type=_number(float), default=1.0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
 
     return parser
 

@@ -1,51 +1,20 @@
 """Experiment configuration: one JSON file drives the whole pipeline.
 
-Schema (all sections optional unless a subcommand needs them; defaults in
-parentheses):
+The file is a JSON object: ``master_seed``, ``max_context_turns`` and
+the optional sections ``paths``, ``split``, ``sampling``, ``encoder``,
+``train``, ``eval``, ``retrieval``, ``grid`` and ``annotation``.
+``_FIELDS`` below lists every known field once, with the
+:class:`ExperimentConfig` attribute it sets and its type, minimum and
+choices; the defaults live on :class:`ExperimentConfig` alone. Transform
+labels are ``identity``, ``uniform``, ``power:D`` or ``kde:H``. The
+fields checked by hand:
 
-    {
-      "master_seed": 0,
-      "paths": {
-        "corpus": "corpus.jsonl",        # required by corpus-reading commands
-        "embeddings": null,              # word-vector file; null = random
-        "output_dir": "out"
-      },
-      "split": {"train": 80, "dev": 10, "test": 10},
-      "max_context_turns": 10,
-      "sampling": {
-        "transform": "identity",         # identity | uniform | power:D | kde:H
-        "neg_per_pos": 5,
-        "filter_by_inverse_count": false,
-        "resample_each_epoch": false
-      },
-      "encoder": {
-        "variant": "gru",                # gru | attention
-        "dim": 16,
-        "hidden": 16,
-        "tied": true,
-        "train_embeddings": false,
-        "embedding_scale": 1.0
-      },
-      "train": {
-        "learning_rate": 0.5,
-        "batch_size": 32,
-        "max_iterations": 2000,
-        "gradient_clip_norm": 5.0,
-        "eval_every": 100
-      },
-      "eval": {
-        "num_alternatives": 9,
-        "ks": [1, 3, 5],
-        "alternative_transform": "identity",
-        "split": "test"                  # train | dev | test
-      },
-      "retrieval": {"response_weight": 0.4, "build_index": true},
-      "grid": {
-        "train_transforms": ["identity", "uniform"],
-        "alt_transforms": ["identity", "uniform"]
-      },
-      "annotation": {"num_questions": 20, "n_responses": 3, "models": {}}
-    }
+    paths.corpus        corpus file; required by corpus-reading commands
+    paths.embeddings    word-vector file; null = random embeddings
+    split.*             integer train:dev:test ratio
+    eval.ks             non-empty list of k in 1..num_alternatives+1
+    grid.*              non-empty lists of distinct transform labels
+    annotation.models   {name: {"kind": "checkpoint" | "index", "path": ...}}
 
 Relative paths are resolved against the directory containing the config
 file. Validation reports every bad field at once. Every stage seed is
@@ -106,27 +75,66 @@ class ExperimentConfig:
         train, dev, test = self.split_ratio
         return SplitSpec.from_ratio(train, dev, test, seed=seed)
 
-    def transform_spec(self, label: str) -> TransformSpec:
-        return TransformSpec.parse(label)
+
+# (section, key) -> (attribute, type, minimum, choices); section "" is the
+# top level. A TransformSpec type marks a transform label; a type of None
+# marks a field that parse_config checks by hand.
+_FIELDS: dict[tuple[str, str], tuple] = {
+    ("", "master_seed"): ("master_seed", int, 0, None),
+    ("", "max_context_turns"): ("max_context_turns", int, 1, None),
+    ("paths", "corpus"): ("corpus_path", str, None, None),
+    ("paths", "embeddings"): ("embeddings_path", None, None, None),
+    ("paths", "output_dir"): ("output_dir", str, None, None),
+    **{("split", name): ("split_ratio", None, None, None) for name in _SPLIT_NAMES},
+    ("sampling", "transform"): ("sampling_transform", TransformSpec, None, None),
+    ("sampling", "neg_per_pos"): ("neg_per_pos", int, 1, None),
+    ("sampling", "filter_by_inverse_count"): ("filter_by_inverse_count", bool, None, None),
+    ("sampling", "resample_each_epoch"): ("resample_each_epoch", bool, None, None),
+    ("encoder", "variant"): ("encoder_variant", str, None, ("gru", "attention")),
+    ("encoder", "dim"): ("encoder_dim", int, 1, None),
+    ("encoder", "hidden"): ("encoder_hidden", int, 1, None),
+    ("encoder", "tied"): ("encoder_tied", bool, None, None),
+    ("encoder", "train_embeddings"): ("train_embeddings", bool, None, None),
+    ("encoder", "embedding_scale"): ("embedding_scale", float, 0.0, None),
+    ("train", "learning_rate"): ("learning_rate", float, 0.0, None),
+    ("train", "batch_size"): ("batch_size", int, 1, None),
+    ("train", "max_iterations"): ("max_iterations", int, 1, None),
+    ("train", "gradient_clip_norm"): ("gradient_clip_norm", float, 1e-12, None),
+    ("train", "eval_every"): ("eval_every", int, 1, None),
+    ("eval", "num_alternatives"): ("eval_num_alternatives", int, 1, None),
+    ("eval", "ks"): ("eval_ks", None, None, None),
+    ("eval", "alternative_transform"): ("eval_alternative_transform", TransformSpec, None, None),
+    ("eval", "split"): ("eval_split", str, None, _SPLIT_NAMES),
+    ("retrieval", "response_weight"): ("response_weight", float, None, None),
+    ("retrieval", "build_index"): ("build_index", bool, None, None),
+    ("grid", "train_transforms"): ("grid_train_transforms", None, None, None),
+    ("grid", "alt_transforms"): ("grid_alt_transforms", None, None, None),
+    ("annotation", "num_questions"): ("annotation_num_questions", int, 1, None),
+    ("annotation", "n_responses"): ("annotation_n_responses", int, 1, None),
+    ("annotation", "models"): ("annotation_models", None, None, None),
+}
+
+# Section -> its known keys; the top level also knows the section names.
+_KNOWN = {section: tuple(k for s, k in _FIELDS if s == section) for section, _ in _FIELDS}
+_KNOWN[""] += tuple(name for name in _KNOWN if name)
 
 
 class _Validator:
-    def __init__(self, data: dict, base_dir: Path):
+    def __init__(self, data: dict):
         self.data = data
-        self.base = base_dir
         self.errors: list[str] = []
 
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def section(self, name: str, known: tuple[str, ...]) -> dict:
-        sub = self.data.get(name, {})
+    def section(self, name: str) -> dict:
+        sub = self.data.get(name, {}) if name else self.data
         if not isinstance(sub, dict):
             self.fail(name, "must be an object")
             return {}
         for key in sub:
-            if key not in known:
-                self.fail(f"{name}.{key}", "unknown field")
+            if key not in _KNOWN[name]:
+                self.fail(f"{name}.{key}" if name else key, "unknown field")
         return sub
 
     def value(self, obj: dict, path: str, key: str, kind, default,
@@ -180,23 +188,22 @@ def load_config(path, require_corpus: bool = False) -> ExperimentConfig:
 def parse_config(
     data: dict, base_dir: Path, require_corpus: bool = False
 ) -> ExperimentConfig:
-    v = _Validator(data, base_dir)
-    known_top = (
-        "master_seed", "paths", "split", "max_context_turns", "sampling",
-        "encoder", "train", "eval", "retrieval", "grid", "annotation",
-    )
-    for key in data:
-        if key not in known_top:
-            v.fail(key, "unknown field")
-
+    v = _Validator(data)
+    sections = {name: v.section(name) for name in _KNOWN}
     cfg = ExperimentConfig(raw=data)
-    cfg.master_seed = v.value(data, "", "master_seed", int, 0, minimum=0)
-    cfg.max_context_turns = v.value(data, "", "max_context_turns", int, 10, minimum=1)
+    for (name, key), (attr, kind, minimum, choices) in _FIELDS.items():
+        path = f"{name}." if name else ""
+        default = getattr(cfg, attr)
+        if kind is TransformSpec:
+            setattr(cfg, attr, v.transform_label(sections[name], path, key, default))
+        elif kind is not None:
+            setattr(cfg, attr, v.value(
+                sections[name], path, key, kind, default, minimum, choices
+            ))
 
-    paths = v.section("paths", ("corpus", "embeddings", "output_dir"))
-    corpus = v.value(paths, "paths.", "corpus", str, None)
-    if corpus is not None:
-        cfg.corpus_path = (base_dir / corpus).resolve()
+    paths = sections["paths"]
+    if cfg.corpus_path is not None:
+        cfg.corpus_path = (base_dir / cfg.corpus_path).resolve()
         if not cfg.corpus_path.exists():
             v.fail("paths.corpus", f"file {cfg.corpus_path} does not exist")
     elif require_corpus:
@@ -209,62 +216,14 @@ def parse_config(
             cfg.embeddings_path = (base_dir / embeddings).resolve()
             if not cfg.embeddings_path.exists():
                 v.fail("paths.embeddings", f"file {cfg.embeddings_path} does not exist")
-    cfg.output_dir = (base_dir / v.value(paths, "paths.", "output_dir", str, "out"))
+    cfg.output_dir = base_dir / cfg.output_dir
 
-    split = v.section("split", _SPLIT_NAMES)
-    ratio = tuple(
-        v.value(split, "split.", name, int, default, minimum=1)
-        for name, default in zip(_SPLIT_NAMES, (80, 10, 10))
-    )
-    cfg.split_ratio = ratio
-
-    sampling = v.section(
-        "sampling",
-        ("transform", "neg_per_pos", "filter_by_inverse_count", "resample_each_epoch"),
-    )
-    cfg.sampling_transform = v.transform_label(sampling, "sampling.", "transform", "identity")
-    cfg.neg_per_pos = v.value(sampling, "sampling.", "neg_per_pos", int, 5, minimum=1)
-    cfg.filter_by_inverse_count = v.value(
-        sampling, "sampling.", "filter_by_inverse_count", bool, False
-    )
-    cfg.resample_each_epoch = v.value(
-        sampling, "sampling.", "resample_each_epoch", bool, False
+    cfg.split_ratio = tuple(
+        v.value(sections["split"], "split.", name, int, default, minimum=1)
+        for name, default in zip(_SPLIT_NAMES, cfg.split_ratio)
     )
 
-    encoder = v.section(
-        "encoder",
-        ("variant", "dim", "hidden", "tied", "train_embeddings", "embedding_scale"),
-    )
-    cfg.encoder_variant = v.value(
-        encoder, "encoder.", "variant", str, "gru", choices=("gru", "attention")
-    )
-    cfg.encoder_dim = v.value(encoder, "encoder.", "dim", int, 16, minimum=1)
-    cfg.encoder_hidden = v.value(encoder, "encoder.", "hidden", int, 16, minimum=1)
-    cfg.encoder_tied = v.value(encoder, "encoder.", "tied", bool, True)
-    cfg.train_embeddings = v.value(encoder, "encoder.", "train_embeddings", bool, False)
-    cfg.embedding_scale = v.value(
-        encoder, "encoder.", "embedding_scale", float, 1.0, minimum=0.0
-    )
-
-    train = v.section(
-        "train",
-        ("learning_rate", "batch_size", "max_iterations", "gradient_clip_norm", "eval_every"),
-    )
-    cfg.learning_rate = v.value(train, "train.", "learning_rate", float, 0.5, minimum=0.0)
-    cfg.batch_size = v.value(train, "train.", "batch_size", int, 32, minimum=1)
-    cfg.max_iterations = v.value(train, "train.", "max_iterations", int, 2000, minimum=1)
-    cfg.gradient_clip_norm = v.value(
-        train, "train.", "gradient_clip_norm", float, 5.0, minimum=1e-12
-    )
-    cfg.eval_every = v.value(train, "train.", "eval_every", int, 100, minimum=1)
-
-    eval_section = v.section(
-        "eval", ("num_alternatives", "ks", "alternative_transform", "split")
-    )
-    cfg.eval_num_alternatives = v.value(
-        eval_section, "eval.", "num_alternatives", int, 9, minimum=1
-    )
-    ks = eval_section.get("ks", [1, 3, 5])
+    ks = sections["eval"].get("ks", list(cfg.eval_ks))
     if not isinstance(ks, list) or not ks or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in ks
     ):
@@ -274,25 +233,10 @@ def parse_config(
         if bad:
             v.fail("eval.ks", f"values {bad} outside 1..num_alternatives+1")
         cfg.eval_ks = tuple(ks)
-    cfg.eval_alternative_transform = v.transform_label(
-        eval_section, "eval.", "alternative_transform", "identity"
-    )
-    cfg.eval_split = v.value(
-        eval_section, "eval.", "split", str, "test", choices=_SPLIT_NAMES
-    )
 
-    retrieval = v.section("retrieval", ("response_weight", "build_index"))
-    cfg.response_weight = v.value(
-        retrieval, "retrieval.", "response_weight", float, 0.4
-    )
-    cfg.build_index = v.value(retrieval, "retrieval.", "build_index", bool, True)
-
-    grid = v.section("grid", ("train_transforms", "alt_transforms"))
-    for key, attr in (
-        ("train_transforms", "grid_train_transforms"),
-        ("alt_transforms", "grid_alt_transforms"),
-    ):
-        labels = grid.get(key, list(getattr(cfg, attr)))
+    for key in _KNOWN["grid"]:
+        attr = _FIELDS["grid", key][0]
+        labels = sections["grid"].get(key, list(getattr(cfg, attr)))
         if not isinstance(labels, list) or not labels or not all(
             isinstance(x, str) for x in labels
         ):
@@ -311,14 +255,7 @@ def parse_config(
             else:
                 setattr(cfg, attr, tuple(labels))
 
-    annotation = v.section("annotation", ("num_questions", "n_responses", "models"))
-    cfg.annotation_num_questions = v.value(
-        annotation, "annotation.", "num_questions", int, 20, minimum=1
-    )
-    cfg.annotation_n_responses = v.value(
-        annotation, "annotation.", "n_responses", int, 3, minimum=1
-    )
-    models = annotation.get("models", {})
+    models = sections["annotation"].get("models", cfg.annotation_models)
     if not isinstance(models, dict):
         v.fail("annotation.models", "must be an object of name -> {kind, path}")
     else:

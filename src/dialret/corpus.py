@@ -289,8 +289,3 @@ def write_split_manifest(path, dialogues: Sequence[Dialogue]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for d in dialogues:
             fh.write(d.id + "\n")
-
-
-def read_split_manifest(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]

@@ -44,9 +44,9 @@ class DistributionEntry:
 class ResponseDistribution:
     """Immutable discrete distribution over distinct response strings.
 
-    Probabilities are strictly positive and sum to 1 within 1e-9. A
-    cumulative table and an alias sampler are built lazily and cached;
-    both are safe to share across threads once built.
+    Probabilities are strictly positive and sum to 1 within 1e-9. An
+    alias sampler is built lazily and cached; it is safe to share across
+    threads once built.
     """
 
     def __init__(self, entries: Iterable[DistributionEntry]):
@@ -66,7 +66,6 @@ class ResponseDistribution:
         total = float(self._probs.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DataError(f"probabilities sum to {total!r}, not 1")
-        self._cumulative: np.ndarray | None = None
         self._sampler = None
 
     def __len__(self) -> int:
@@ -95,12 +94,6 @@ class ResponseDistribution:
 
     def count(self, response: str) -> int:
         return int(self._counts[self._index[response]])
-
-    def cumulative(self) -> np.ndarray:
-        """Cumulative probability table (ascending, last entry ~1)."""
-        if self._cumulative is None:
-            self._cumulative = np.cumsum(self._probs)
-        return self._cumulative
 
     def sampler(self):
         """Cached O(1)-per-draw alias sampler over this distribution."""

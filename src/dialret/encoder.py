@@ -49,14 +49,13 @@ so its memory is bounded by one block whatever the number of sequences.
 
 from __future__ import annotations
 
-import json
 import logging
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ._container import read_container, write_container
 from .errors import DataError, DivergenceError, NonFiniteParameterError
 
 if TYPE_CHECKING:
@@ -816,17 +815,11 @@ def train(
     return TrainResult(model, trace)
 
 
-# Checkpoint container. Byte layout:
-#   bytes 0..5    magic b"DRCKPT"
-#   bytes 6..7    format version, uint16 little-endian
-#   bytes 8..15   header length L, uint64 little-endian
-#   bytes 16..16+L  UTF-8 JSON header (sorted keys):
-#       {"bilinear_dim", "dim", "hidden", "tensors": [[name, shape], ...],
-#        "tied", "train_embeddings", "variant", "vocab": [token, ...]}
-#   then the tensors named in header order, float64 little-endian,
-#   row-major, no padding.
+# Checkpoint: a container (see dialret._container) with magic b"DRCKPT"
+# whose sorted-key JSON header is {"bilinear_dim", "dim", "hidden",
+# "tensors": [[name, shape], ...], "tied", "train_embeddings", "variant",
+# "vocab": [token, ...]}; the payload is the tensors in header order.
 _CKPT_MAGIC = b"DRCKPT"
-_CKPT_VERSION = 1
 
 
 def save_checkpoint(model: DualEncoderModel, path) -> None:
@@ -842,33 +835,10 @@ def save_checkpoint(model: DualEncoderModel, path) -> None:
         "variant": variant,
         "vocab": model.embeddings.tokens_in_index_order(),
     }
-    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<H", _CKPT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, tensor in tensors.items():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    write_container(path, _CKPT_MAGIC, header, tensors.values())
 
 
-def load_checkpoint(path) -> DualEncoderModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != _CKPT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            size = int(np.prod(shape)) if shape else 1
-            data = fh.read(size * 8)
-            if len(data) != size * 8:
-                raise DataError(f"checkpoint truncated while reading {name!r}")
-            tensors[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+def _model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> DualEncoderModel:
     vocab = {t: i for i, t in enumerate(header["vocab"])}
     embeddings = EmbeddingTable._restore(vocab, tensors["embeddings.matrix"])
 
@@ -897,4 +867,11 @@ def load_checkpoint(path) -> DualEncoderModel:
         response_encoder=response,
         bilinear=tensors["bilinear"],
         train_embeddings=bool(header["train_embeddings"]),
+    )
+
+
+def load_checkpoint(path) -> DualEncoderModel:
+    return read_container(
+        path, _CKPT_MAGIC, "checkpoint", lambda header: header["tensors"],
+        _model_from_checkpoint,
     )

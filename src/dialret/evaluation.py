@@ -62,11 +62,11 @@ class EvalReport:
         return self.recalls[k]
 
 
-class DualEncoderScorer:
-    """Ranks candidates by the pairwise sigmoid probability.
+class _CachedEncoder:
+    """Encodes contexts and candidate responses with one model.
 
-    Candidate response encodings are cached by canonical string; the
-    model must not be mutated while the scorer is alive.
+    Response encodings are cached by canonical string, one cache per
+    scorer; the model must not be mutated while the scorer is alive.
     """
 
     def __init__(self, model: DualEncoderModel):
@@ -85,19 +85,26 @@ class DualEncoderScorer:
                 self._cache[text] = vec
         return np.stack([self._cache[c] for c in candidates])
 
-    def score_candidates(
-        self, context_tokens: Sequence[str], candidates: Sequence[str]
-    ) -> np.ndarray:
-        c = encode(
+    def _context_vector(self, context_tokens: Sequence[str]) -> np.ndarray:
+        return encode(
             self.model.context_encoder,
             self.model.embeddings,
             truncate_context(context_tokens),
         )
+
+
+class DualEncoderScorer(_CachedEncoder):
+    """Ranks candidates by the pairwise sigmoid probability."""
+
+    def score_candidates(
+        self, context_tokens: Sequence[str], candidates: Sequence[str]
+    ) -> np.ndarray:
+        c = self._context_vector(context_tokens)
         responses = self._response_vectors(candidates)
         return sigmoid(responses @ (self.model.bilinear.T @ c))
 
 
-class HistoryIndexScorer:
+class HistoryIndexScorer(_CachedEncoder):
     """Ranks candidates by their hypothetical history-vector placement.
 
     A candidate's score is the cosine between the normalized vector
@@ -107,31 +114,14 @@ class HistoryIndexScorer:
     """
 
     def __init__(self, index: HistoryIndex):
+        super().__init__(index._require_model())
         self.index = index
-        self.model = index._require_model()
-        self._cache: dict[str, np.ndarray] = {}
-
-    def _candidate_vectors(self, candidates: Sequence[str]) -> np.ndarray:
-        missing = [c for c in candidates if c not in self._cache]
-        if missing:
-            encoded = encode_batch(
-                self.model.response_encoder,
-                self.model.embeddings,
-                [truncate_response(c.split(" ")) for c in missing],
-            )
-            for text, vec in zip(missing, encoded):
-                self._cache[text] = vec
-        return np.stack([self._cache[c] for c in candidates])
 
     def score_candidates(
         self, context_tokens: Sequence[str], candidates: Sequence[str]
     ) -> np.ndarray:
-        ctx = encode(
-            self.model.context_encoder,
-            self.model.embeddings,
-            truncate_context(context_tokens),
-        )
-        vectors = ctx[None, :] + self.index.response_weight * self._candidate_vectors(
+        ctx = self._context_vector(context_tokens)
+        vectors = ctx[None, :] + self.index.response_weight * self._response_vectors(
             candidates
         )
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)

@@ -10,13 +10,12 @@ unit vectors. The scan is exact; no approximate index structures.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._container import read_container, write_container
 from .corpus import ContextResponsePair
 from .encoder import DualEncoderModel, encode, encode_batch, truncate_context, truncate_response
 from .errors import DataError
@@ -153,16 +152,11 @@ def query_nearest(
     ]
 
 
-# Index container. Byte layout mirrors the checkpoint format:
-#   bytes 0..5    magic b"DRHIDX"
-#   bytes 6..7    format version, uint16 little-endian
-#   bytes 8..15   header length L, uint64 little-endian
-#   bytes 16..16+L  UTF-8 JSON header (sorted keys): {"checkpoint_ref",
-#       "checkpoint_sha256", "count", "dim", "pair_ids", "response_weight",
-#       "responses"}
-#   then count*dim float64 little-endian row-major vector payload.
+# History index: a container (see dialret._container) with magic
+# b"DRHIDX" whose sorted-key JSON header is {"checkpoint_ref",
+# "checkpoint_sha256", "count", "dim", "pair_ids", "response_weight",
+# "responses"}; the payload is the count x dim vector matrix.
 _IDX_MAGIC = b"DRHIDX"
-_IDX_VERSION = 1
 
 
 def file_sha256(path) -> str:
@@ -183,36 +177,22 @@ def save_index(index: HistoryIndex, path) -> None:
         "response_weight": index.response_weight,
         "responses": index.responses,
     }
-    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_IDX_MAGIC)
-        fh.write(struct.pack("<H", _IDX_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(index.vectors, dtype="<f8").tobytes())
+    write_container(path, _IDX_MAGIC, header, [index.vectors])
 
 
 def load_index(path, model: DualEncoderModel | None = None) -> HistoryIndex:
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _IDX_MAGIC:
-            raise DataError(f"not a history index file (magic {magic!r})")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != _IDX_VERSION:
-            raise DataError(f"unsupported index version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        count, dim = header["count"], header["dim"]
-        data = fh.read(count * dim * 8)
-        if len(data) != count * dim * 8:
-            raise DataError("index file truncated")
-        vectors = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(count, dim)
-    return HistoryIndex(
-        response_weight=header["response_weight"],
-        pair_ids=header["pair_ids"],
-        vectors=vectors,
-        responses=header["responses"],
-        model=model,
-        checkpoint_ref=header["checkpoint_ref"],
-        checkpoint_sha256=header["checkpoint_sha256"],
+    def build(header: dict, tensors: dict[str, np.ndarray]) -> HistoryIndex:
+        return HistoryIndex(
+            response_weight=header["response_weight"],
+            pair_ids=header["pair_ids"],
+            vectors=tensors["vectors"],
+            responses=header["responses"],
+            model=model,
+            checkpoint_ref=header["checkpoint_ref"],
+            checkpoint_sha256=header["checkpoint_sha256"],
+        )
+
+    return read_container(
+        path, _IDX_MAGIC, "history index",
+        lambda header: [("vectors", [header["count"], header["dim"]])], build,
     )

@@ -22,6 +22,8 @@ def zipf_weights(n: int, exponent: float) -> np.ndarray:
     if n < 1:
         raise DataError("need at least one rank")
     weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** exponent
+    if not np.all(np.isfinite(weights)):
+        raise DataError(f"Zipf exponent {exponent} over {n} ranks overflows float64")
     return weights / weights.sum()
 
 

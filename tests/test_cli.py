@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dialret.cli import main
-from dialret.config import load_config
+from dialret.config import ExperimentConfig, load_config, parse_config
 from dialret.errors import ConfigError
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_dialogues.jsonl"
@@ -111,6 +111,67 @@ class TestConfigValidation:
         assert cfg.neg_per_pos == 5
         assert cfg.response_weight == 0.4
         assert cfg.eval_num_alternatives == 9
+
+
+    def test_every_field_sets_its_attribute(self, tmp_path):
+        (tmp_path / "c.jsonl").write_text("", encoding="utf-8")
+        (tmp_path / "emb.txt").write_text("1 2\nhello 0.5 0.25\n", encoding="utf-8")
+        data = {
+            "master_seed": 7, "max_context_turns": 4,
+            "paths": {"corpus": "c.jsonl", "embeddings": "emb.txt", "output_dir": "o"},
+            "split": {"train": 70, "dev": 20, "test": 10},
+            "sampling": {"transform": "power:-0.5", "neg_per_pos": 3,
+                         "filter_by_inverse_count": True, "resample_each_epoch": True},
+            "encoder": {"variant": "attention", "dim": 8, "hidden": 4, "tied": False,
+                        "train_embeddings": True, "embedding_scale": 2},
+            "train": {"learning_rate": 0.1, "batch_size": 8, "max_iterations": 50,
+                      "gradient_clip_norm": 2.0, "eval_every": 10},
+            "eval": {"num_alternatives": 4, "ks": [1, 2], "alternative_transform": "uniform",
+                     "split": "dev"},
+            "retrieval": {"response_weight": 0.3, "build_index": False},
+            "grid": {"train_transforms": ["kde:0.4"], "alt_transforms": ["power:1", "uniform"]},
+            "annotation": {"num_questions": 5, "n_responses": 2,
+                           "models": {"m": {"kind": "index", "path": "x.idx"}}},
+        }
+        cfg = parse_config(data, tmp_path)
+        expected = {
+            "master_seed": 7, "max_context_turns": 4,
+            "corpus_path": (tmp_path / "c.jsonl").resolve(),
+            "embeddings_path": (tmp_path / "emb.txt").resolve(),
+            "output_dir": tmp_path / "o", "split_ratio": (70, 20, 10),
+            "sampling_transform": "power:-0.5", "neg_per_pos": 3,
+            "filter_by_inverse_count": True, "resample_each_epoch": True,
+            "encoder_variant": "attention", "encoder_dim": 8, "encoder_hidden": 4,
+            "encoder_tied": False, "train_embeddings": True, "embedding_scale": 2.0,
+            "learning_rate": 0.1, "batch_size": 8, "max_iterations": 50,
+            "gradient_clip_norm": 2.0, "eval_every": 10, "eval_num_alternatives": 4,
+            "eval_ks": (1, 2), "eval_alternative_transform": "uniform", "eval_split": "dev",
+            "response_weight": 0.3, "build_index": False,
+            "grid_train_transforms": ("kde:0.4",),
+            "grid_alt_transforms": ("power:1", "uniform"),
+            "annotation_num_questions": 5, "annotation_n_responses": 2,
+            "annotation_models": {"m": {"kind": "index", "path": "x.idx"}},
+            "raw": data,
+        }
+        assert vars(cfg) == expected
+        assert type(cfg.embedding_scale) is float
+
+    def test_empty_config_takes_dataclass_defaults(self, tmp_path):
+        cfg = parse_config({}, tmp_path)
+        assert cfg == ExperimentConfig(output_dir=tmp_path / "out")
+
+    def test_unknown_fields_in_every_section(self):
+        data = {"bogus": 1, **{name: {"bogus": 1} for name in (
+            "paths", "split", "sampling", "encoder", "train", "eval", "retrieval",
+            "grid", "annotation",
+        )}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data, Path("."))
+        errors = exc.value.field_errors
+        assert "bogus: unknown field" in errors
+        for name in data:
+            if name != "bogus":
+                assert f"{name}.bogus: unknown field" in errors
 
 
 class TestSubcommands:
@@ -219,14 +280,56 @@ class TestSubcommands:
         assert main(["eval", "--config", str(workspace / "config.json")]) == 2
 
     @pytest.mark.parametrize("command", [
-        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl"],
-        ["build-trainset", "--config", "{root}/config.json"],
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--seed", "-1"],
+        ["build-trainset", "--config", "{root}/config.json", "--seed", "-1"],
+        ["build-trainset", "--config", "{root}/config.json", "--neg-ratio", "0"],
+        ["build-trainset", "--config", "{root}/config.json", "--neg-ratio", "-1"],
+        ["retrieve", "--index", "{root}/out/history_identity.idx", "--query", "ask1",
+         "--top-k", "0"],
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--exponent", "nan"],
     ])
     def test_negative_seed_is_usage_error(self, workspace, capsys, command):
-        argv = [arg.format(root=workspace) for arg in command] + ["--seed", "-1"]
+        # Also every other out-of-range numeric flag: the last two words.
+        argv = [arg.format(root=workspace) for arg in command]
         assert main(argv) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert command[-2] in capsys.readouterr().err
         assert not (workspace / "neg.jsonl").exists()
+
+    @pytest.mark.parametrize("defect", [
+        "cut@3", "cut@10", "cut@16", "cut@40", "cut@header-end", "cut@payload+8",
+        "cut@last-byte", "missing-key", "trailing-byte",
+    ])
+    @pytest.mark.parametrize("kind", ["checkpoint", "index"])
+    def test_malformed_container_exit_4(self, workspace, tmp_path, capsys, kind, defect):
+        name, key = {
+            "checkpoint": ("model_identity.ckpt", "tensors"),
+            "index": ("history_identity.idx", "count"),
+        }[kind]
+        data = (workspace / "out" / name).read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        end = 16 + header_len
+        if defect == "missing-key":
+            header = json.loads(data[16:end])
+            del header[key]
+            blob = json.dumps(header, sort_keys=True).encode("utf-8")
+            data = data[:8] + struct.pack("<Q", len(blob)) + blob + data[end:]
+        elif defect == "trailing-byte":
+            data += b"\x00"
+        else:
+            cut = defect.partition("@")[2]
+            offsets = {"header-end": end, "payload+8": end + 8, "last-byte": len(data) - 1}
+            data = data[: offsets[cut] if cut in offsets else int(cut)]
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        if kind == "checkpoint":
+            argv = ["eval", "--config", str(workspace / "config.json"), "--checkpoint", str(bad)]
+        else:
+            argv = ["retrieve", "--index", str(bad), "--query", "ask1"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert ("checkpoint" if kind == "checkpoint" else "history index") in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect", ["missing", "misshapen"])
     def test_bad_gru_tensor_in_checkpoint_exit_4(self, workspace, tmp_path, capsys, defect):
