@@ -69,8 +69,9 @@ class _Corpus:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        with open(cfg.corpus_path, encoding="utf-8") as fh:
-            self.parsed = corpus_mod.parse_dialogues(fh)
+        self.parsed = corpus_mod.parse_dialogues(
+            corpus_mod.read_text_lines(cfg.corpus_path, "corpus")
+        )
         self._pairs: dict[str, list[corpus_mod.ContextResponsePair]] = {}
 
     @functools.cached_property
@@ -548,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-synthetic-corpus", help="generate a Zipf corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--dialogues", type=int, default=2000)
-    p.add_argument("--responses", type=int, default=100)
-    p.add_argument("--vocab", type=int, default=250)
+    p.add_argument("--dialogues", type=_number(int, 1), default=2000)
+    p.add_argument("--responses", type=_number(int, 1), default=100)
+    p.add_argument("--vocab", type=_number(int, 1), default=250)
     p.add_argument("--exponent", type=_number(float), default=1.0)
     p.add_argument("--seed", type=_number(int, 0), default=0)
 

@@ -178,8 +178,8 @@ def load_config(path, require_corpus: bool = False) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_config(data, path.parent, require_corpus)

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +115,15 @@ class RecordError:
 class ParseResult:
     dialogues: tuple[Dialogue, ...]
     errors: tuple[RecordError, ...]
+
+
+def read_text_lines(path, kind: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read lazily; other bytes raise DataError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{kind} {path} is not UTF-8 text ({exc.reason})") from None
 
 
 def parse_dialogues(lines: Iterable[str]) -> ParseResult:

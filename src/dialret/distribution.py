@@ -18,7 +18,7 @@ always uses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -34,73 +34,64 @@ _PROB_SUM_TOL = 1e-9
 _PROB_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class DistributionEntry:
-    response: str
-    prob: float
-    count: int
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 class ResponseDistribution:
     """Immutable discrete distribution over distinct response strings.
 
-    Probabilities are strictly positive and sum to 1 within 1e-9. An
-    alias sampler is built lazily and cached; it is safe to share across
-    threads once built.
+    ``responses`` is a tuple and ``probs`` and ``counts`` are read-only
+    arrays aligned with it; they are stored once and handed out without
+    copying. Probabilities are strictly positive and sum to 1 within 1e-9.
+    An alias sampler is built lazily and cached; it is safe to share
+    across threads once built.
     """
 
-    def __init__(self, entries: Iterable[DistributionEntry]):
-        self.entries: tuple[DistributionEntry, ...] = tuple(entries)
-        if not self.entries:
+    def __init__(self, responses: Sequence[str], probs: Sequence[float], counts=None):
+        self.responses: tuple[str, ...] = tuple(responses)
+        if not self.responses:
             raise DataError("a response distribution cannot be empty")
-        self._responses = [e.response for e in self.entries]
-        self._index = {r: i for i, r in enumerate(self._responses)}
-        if len(self._index) != len(self._responses):
+        self._index = {r: i for i, r in enumerate(self.responses)}
+        if len(self._index) != len(self.responses):
             raise DataError("duplicate responses in distribution")
-        self._probs = np.array([e.prob for e in self.entries], dtype=np.float64)
-        self._counts = np.array([e.count for e in self.entries], dtype=np.int64)
-        if np.any(self._probs <= 0.0):
+        n = len(self.responses)
+        self.probs = _frozen(probs, np.float64)
+        self.counts = _frozen(np.zeros(n) if counts is None else counts, np.int64)
+        if self.probs.shape != (n,) or self.counts.shape != (n,):
+            raise DataError("need one probability and one count per response")
+        if np.any(self.probs <= 0.0):
             raise DataError("all probabilities must be strictly positive")
-        if np.any(self._counts < 0):
+        if np.any(self.counts < 0):
             raise DataError("counts must be non-negative")
-        total = float(self._probs.sum())
+        total = float(self.probs.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DataError(f"probabilities sum to {total!r}, not 1")
         self._sampler = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.responses)
 
     def __contains__(self, response: str) -> bool:
         return response in self._index
-
-    @property
-    def responses(self) -> list[str]:
-        return list(self._responses)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self._probs.copy()
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts.copy()
 
     def index_of(self, response: str) -> int:
         return self._index[response]
 
     def prob(self, response: str) -> float:
-        return float(self._probs[self._index[response]])
+        return float(self.probs[self._index[response]])
 
     def count(self, response: str) -> int:
-        return int(self._counts[self._index[response]])
+        return int(self.counts[self._index[response]])
 
     def sampler(self):
         """Cached O(1)-per-draw alias sampler over this distribution."""
         if self._sampler is None:
             from .sampling import AliasSampler
 
-            self._sampler = AliasSampler(self._probs)
+            self._sampler = AliasSampler(self.probs)
         return self._sampler
 
     @classmethod
@@ -108,22 +99,17 @@ class ResponseDistribution:
         total = sum(counts.values())
         if total <= 0:
             raise DataError("counts must include at least one occurrence")
+        responses = [r for r, c in counts.items() if c > 0]
         return cls(
-            DistributionEntry(r, c / total, int(c))
-            for r, c in counts.items()
-            if c > 0
+            responses, [counts[r] / total for r in responses], [counts[r] for r in responses]
         )
 
     @classmethod
     def from_probs(
         cls, responses: Sequence[str], probs: Sequence[float], counts=None
     ) -> "ResponseDistribution":
-        if counts is None:
-            counts = [0] * len(responses)
-        return cls(
-            DistributionEntry(r, float(p), int(c))
-            for r, p, c in zip(responses, probs, counts)
-        )
+        """Same as ``ResponseDistribution(responses, probs, counts)``."""
+        return cls(responses, probs, counts)
 
 
 def count_responses(pairs: Sequence[ContextResponsePair]) -> ResponseDistribution:
@@ -215,7 +201,7 @@ def transform(
     elif spec.kind == "power":
         # Log-space with max subtraction: exact for degree 0 and 1, no
         # overflow for strongly negative degrees on tiny probabilities.
-        log_q = spec.degree * np.log(dist._probs)
+        log_q = spec.degree * np.log(dist.probs)
         weights = np.exp(log_q - log_q.max())
     elif spec.kind == "kde":
         if embeddings is None:
@@ -225,7 +211,7 @@ def transform(
         raise ConfigError(f"unknown transform kind {spec.kind!r}")
     weights = np.maximum(weights, _PROB_FLOOR)
     probs = weights / weights.sum()
-    return ResponseDistribution.from_probs(dist._responses, probs, dist._counts)
+    return ResponseDistribution(dist.responses, probs, dist.counts)
 
 
 def response_vectors(
@@ -249,12 +235,12 @@ def response_vectors(
 def _kde_weights(
     dist: ResponseDistribution, bandwidth: float, embeddings: "EmbeddingTable"
 ) -> np.ndarray:
-    v = response_vectors(dist._responses, embeddings)
+    v = response_vectors(dist.responses, embeddings)
     sq_norms = np.sum(v * v, axis=1)
     sq_dist = sq_norms[:, None] - 2.0 * (v @ v.T) + sq_norms[None, :]
     np.maximum(sq_dist, 0.0, out=sq_dist)
     kernel = np.exp(-sq_dist / (2.0 * bandwidth**2))
-    return kernel @ dist._probs
+    return kernel @ dist.probs
 
 
 @dataclass(frozen=True)
@@ -271,10 +257,11 @@ def distribution_report(dist: ResponseDistribution) -> list[ReportRow]:
     Ties are broken by descending count, then lexicographic response, so
     the report is a pure function of the distribution.
     """
-    order = sorted(dist.entries, key=lambda e: (-e.prob, -e.count, e.response))
+    entries = zip(dist.probs.tolist(), dist.counts.tolist(), dist.responses)
+    order = sorted(entries, key=lambda e: (-e[0], -e[1], e[2]))
     return [
-        ReportRow(rank, e.response, e.count, e.prob)
-        for rank, e in enumerate(order, start=1)
+        ReportRow(rank, response, count, prob)
+        for rank, (prob, count, response) in enumerate(order, start=1)
     ]
 
 

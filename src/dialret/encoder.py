@@ -27,14 +27,14 @@ output. Gradients flow through the interaction matrix, both encoders
 rows. The test suite checks every analytic gradient against central
 finite differences.
 
-GRU kernels. The weights are stored fused, gate rows in z, r, h order:
-W = [Wz; Wr; Wh] (3H x D), U = [Uz; Ur; Uh] (3H x H), b (3H); the nine
-per-gate names are row-block views of them. The input projections
-W e_t + b do not depend on the state, so the forward pass computes them
-for every step in one matmul before the recurrence, which then only
-multiplies by Uz and Ur (one batched matmul) and by Uh. Padded steps get
-z = 0 through a -inf update pre-activation, which carries the state
-through them exactly, so neither pass masks inside its loop. The
+GRU kernels. The weights have one layout, fused with gate rows in z, r,
+h order: W = [Wz; Wr; Wh] (3H x D), U = [Uz; Ur; Uh] (3H x H), b (3H).
+Only the version-1 checkpoint names them by gate, on disk. The input
+projections W e_t + b do not depend on the state, so the forward pass
+computes them for every step in one matmul before the recurrence, which
+then only multiplies by Uz and Ur (one batched matmul) and by Uh. Padded
+steps get z = 0 through a -inf update pre-activation, which carries the
+state through them exactly, so neither pass masks inside its loop. The
 backward pass collects the gradients of the three pre-activations of
 every step in one array and forms dW, dU, db and the input gradient from
 it with a few matmuls after the loop.
@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from ._container import read_container, write_container
+from .corpus import read_text_lines
 from .errors import DataError, DivergenceError, NonFiniteParameterError
 
 if TYPE_CHECKING:
@@ -168,8 +169,7 @@ def load_embeddings(source, expected_dim: int | None = None) -> EmbeddingTable:
     iterable of lines.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
-            return load_embeddings(list(fh), expected_dim)
+        return load_embeddings(read_text_lines(source, "embedding file"), expected_dim)
     lines = iter(source)
     try:
         header = next(lines)
@@ -235,48 +235,28 @@ def random_embeddings(
     return EmbeddingTable(vocab, vectors)
 
 
-def _gate_blocks(w: np.ndarray, u: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
-    """The nine per-gate row blocks of fused (w, u, b), as views."""
-    rows = len(b) // 3
-    return {
-        f"{kind}_{gate}": fused[i * rows : (i + 1) * rows]
-        for i, gate in enumerate("zrh")
-        for kind, fused in (("w", w), ("u", u), ("b", b))
-    }
-
-
+@dataclass
 class GruParams:
-    """Gate and candidate weights for a single-layer GRU.
+    """Weights of a single-layer GRU, fused with gate rows in z, r, h order."""
 
-    Stored fused with gate rows in z, r, h order: ``w`` (3H x D), ``u``
-    (3H x H) and ``b`` (3H). The keyword constructor, :meth:`tensors` and
-    attribute access use the nine per-gate names ``w_z, u_z, b_z, w_r, ...,
-    b_h``; those are row-block views, so writing one writes the fused
-    storage.
-    """
+    w: np.ndarray  # (3H, D): Wz, Wr, Wh
+    u: np.ndarray  # (3H, H): Uz, Ur, Uh
+    b: np.ndarray  # (3H,)
 
     variant = "gru"
-    NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
-    def __init__(self, *, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
-        w_z = np.asarray(w_z)
-        if w_z.ndim != 2:
-            raise DataError(f"GRU tensor w_z must be 2-D, got shape {w_z.shape}")
-        hidden, dim = w_z.shape
-        given = dict(w_z=w_z, u_z=u_z, b_z=b_z, w_r=w_r, u_r=u_r, b_r=b_r,
-                     w_h=w_h, u_h=u_h, b_h=b_h)
-        expected = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
-        for name, tensor in given.items():
-            shape = np.shape(tensor)
-            if shape != expected[name[0]]:
+    def __post_init__(self):
+        shape = np.shape(self.w)
+        if len(shape) != 2 or shape[0] % 3:
+            raise DataError(f"GRU tensor w must have shape (3H, D), got {shape}")
+        hidden, dim = shape[0] // 3, shape[1]
+        for name, expected in (("u", (3 * hidden, hidden)), ("b", (3 * hidden,))):
+            got = np.shape(getattr(self, name))
+            if got != expected:
                 raise DataError(
-                    f"GRU tensor {name} must have shape {expected[name[0]]} "
-                    f"for hidden {hidden} and input dim {dim}, got {shape}"
+                    f"GRU tensor {name} must have shape {expected} "
+                    f"for hidden {hidden} and input dim {dim}, got {got}"
                 )
-        self.w, self.u, self.b = (
-            np.concatenate([given[f"{kind}_{gate}"] for gate in "zrh"], dtype=np.float64)
-            for kind in "wub"
-        )
 
     @property
     def hidden(self) -> int:
@@ -291,24 +271,14 @@ class GruParams:
         return self.hidden
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return _gate_blocks(self.w, self.u, self.b)
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        # Only reached for names the instance lacks: the per-gate views.
-        if name in GruParams.NAMES:
-            return self.tensors()[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return {"w": self.w, "u": self.u, "b": self.b}
 
     @classmethod
     def create(cls, input_dim: int, hidden: int, rng: np.random.Generator):
         k = 1.0 / np.sqrt(hidden)
-        def w(rows, cols):
-            return rng.uniform(-k, k, size=(rows, cols))
-        return cls(
-            w_z=w(hidden, input_dim), u_z=w(hidden, hidden), b_z=np.zeros(hidden),
-            w_r=w(hidden, input_dim), u_r=w(hidden, hidden), b_r=np.zeros(hidden),
-            w_h=w(hidden, input_dim), u_h=w(hidden, hidden), b_h=np.zeros(hidden),
-        )
+        # Per gate in z, r, h order: its W rows, then its U rows.
+        draws = [rng.uniform(-k, k, size=(hidden, n)) for _ in "zrh" for n in (input_dim, hidden)]
+        return cls(np.concatenate(draws[0::2]), np.concatenate(draws[1::2]), np.zeros(3 * hidden))
 
 
 @dataclass
@@ -350,6 +320,11 @@ class AttentionParams:
 
 
 EncoderParams = GruParams | AttentionParams
+
+
+def _encoder_prefixes(tied: bool) -> tuple[str, ...]:
+    """Tensor-name prefixes of the distinct encoders, to zip with (context, response)."""
+    return ("encoder.",) if tied else ("context_encoder.", "response_encoder.")
 
 
 @dataclass
@@ -412,20 +387,15 @@ class DualEncoderModel:
         return cls(embeddings, context, response, bilinear, train_embeddings)
 
     def _encoder_tensor_map(self) -> dict[str, np.ndarray]:
-        if self.tied:
-            return {f"encoder.{k}": v for k, v in self.context_encoder.tensors().items()}
-        tensors = {
-            f"context_encoder.{k}": v
-            for k, v in self.context_encoder.tensors().items()
+        encoders = (self.context_encoder, self.response_encoder)
+        return {
+            prefix + name: tensor
+            for prefix, encoder in zip(_encoder_prefixes(self.tied), encoders)
+            for name, tensor in encoder.tensors().items()
         }
-        tensors.update(
-            (f"response_encoder.{k}", v)
-            for k, v in self.response_encoder.tensors().items()
-        )
-        return tensors
 
     def trainable_tensors(self) -> dict[str, np.ndarray]:
-        """Name -> live array views; SGD updates these in place."""
+        """Name -> the live arrays; SGD updates them in place."""
         tensors = {"bilinear": self.bilinear}
         tensors.update(self._encoder_tensor_map())
         if self.train_embeddings:
@@ -474,8 +444,8 @@ def _gru_forward(p: GruParams, embedded: np.ndarray, mask: np.ndarray, keep_cach
     # z = 0 at padded steps carries h through them exactly, so neither
     # pass needs the mask inside its loop.
     x[0][~mask.T] = -np.inf
-    u_zr = np.ascontiguousarray(p.u[: 2 * hidden].reshape(2, hidden, hidden).transpose(0, 2, 1))
-    u_h = np.ascontiguousarray(p.u[2 * hidden :].T)
+    uzr = np.ascontiguousarray(p.u[: 2 * hidden].reshape(2, hidden, hidden).transpose(0, 2, 1))
+    uh = np.ascontiguousarray(p.u[2 * hidden :].T)
     # Without a cache, one gate slot and two alternating state slots suffice.
     gates = np.empty((steps if keep_cache else 1, 3, batch, hidden))
     states = np.zeros((steps + 1 if keep_cache else 2, batch, hidden))
@@ -484,10 +454,10 @@ def _gru_forward(p: GruParams, embedded: np.ndarray, mask: np.ndarray, keep_cach
         h_next = states[(t + 1) % len(states)]
         step = gates[t % len(gates)]
         zr, g = step[:2], step[2]
-        np.matmul(h, u_zr, out=zr)
+        np.matmul(h, uzr, out=zr)
         zr += x[:2, t]
         z, r = _sigmoid_inplace(zr)
-        np.matmul(r * h, u_h, out=g)
+        np.matmul(r * h, uh, out=g)
         g += x[2, t]
         np.tanh(g, out=g)
         np.subtract(1.0, z, out=h_next)
@@ -507,16 +477,16 @@ def _gru_backward(p: GruParams, embedded, cache, g_out, input_grads):
     dh_factor = z * (1.0 - c * c)
     dr_factor = h_prev * r * (1.0 - r)
     carry = 1.0 - z
-    u_z, u_r, u_h = p.u.reshape(3, hidden, hidden)
+    uz, ur, uh = p.u.reshape(3, hidden, hidden)
     d_pre = np.empty((3, steps, batch, hidden))
     dz, dr, dh = d_pre
     g = g_out
     for t in reversed(range(steps)):
         np.multiply(g, dz_factor[t], out=dz[t])
         np.multiply(g, dh_factor[t], out=dh[t])
-        dh_u = dh[t] @ u_h
+        dh_u = dh[t] @ uh
         np.multiply(dh_u, dr_factor[t], out=dr[t])
-        g = g * carry[t] + dz[t] @ u_z + dr[t] @ u_r + dh_u * r[t]
+        g = g * carry[t] + dz[t] @ uz + dr[t] @ ur + dh_u * r[t]
     # Sums over all steps and rows: one matmul per gate.
     rows = d_pre.reshape(3, -1, hidden)
     rows_t = rows.transpose(0, 2, 1)
@@ -524,11 +494,11 @@ def _gru_backward(p: GruParams, embedded, cache, g_out, input_grads):
         (rows_t[:2] @ h_prev.reshape(-1, hidden)).reshape(-1, hidden),
         rows_t[2] @ (r * h_prev).reshape(-1, hidden),
     ])
-    grads = _gate_blocks(
-        (rows_t @ _time_major(embedded)).reshape(3 * hidden, -1),
-        grad_u,
-        rows.sum(axis=1).reshape(-1),
-    )
+    grads = {
+        "w": (rows_t @ _time_major(embedded)).reshape(3 * hidden, -1),
+        "u": grad_u,
+        "b": rows.sum(axis=1).reshape(-1),
+    }
     d_embedded = None
     if input_grads:
         d_rows = (rows @ p.w.reshape(3, hidden, -1)).sum(axis=0)
@@ -690,15 +660,11 @@ def _indexed_loss_and_gradients(model, ctx_idx, ctx_mask, rsp_idx, rsp_mask, lab
         model.response_encoder, rsp_embedded, rsp_cache, d_r, input_grads
     )
 
-    grads: dict[str, np.ndarray] = {"bilinear": d_bilinear}
     if model.tied:
-        for key in ctx_grads:
-            grads[f"encoder.{key}"] = ctx_grads[key] + rsp_grads[key]
-    else:
-        for key, value in ctx_grads.items():
-            grads[f"context_encoder.{key}"] = value
-        for key, value in rsp_grads.items():
-            grads[f"response_encoder.{key}"] = value
+        ctx_grads = {name: grad + rsp_grads[name] for name, grad in ctx_grads.items()}
+    grads: dict[str, np.ndarray] = {"bilinear": d_bilinear}
+    for prefix, enc_grads in zip(_encoder_prefixes(model.tied), (ctx_grads, rsp_grads)):
+        grads.update((prefix + name, grad) for name, grad in enc_grads.items())
     if input_grads:
         d_matrix = np.zeros_like(emb.matrix)
         np.add.at(d_matrix, ctx_idx, d_ctx_embedded)
@@ -819,11 +785,27 @@ def train(
 # whose sorted-key JSON header is {"bilinear_dim", "dim", "hidden",
 # "tensors": [[name, shape], ...], "tied", "train_embeddings", "variant",
 # "vocab": [token, ...]}; the payload is the tensors in header order.
+# Version 1 stores each fused GRU tensor as its three gate row blocks:
+# w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h, as (name, tensor, block).
 _CKPT_MAGIC = b"DRCKPT"
+_GRU_BLOCKS = tuple(
+    (f"{kind}_{gate}", kind, i) for i, gate in enumerate("zrh") for kind in "wub"
+)
+
+
+def _checkpoint_tensors(params: EncoderParams) -> dict[str, np.ndarray]:
+    """An encoder's tensors under their version-1 names, in file order."""
+    if params.variant != "gru":
+        return params.tensors()
+    blocks = {kind: np.split(tensor, 3) for kind, tensor in params.tensors().items()}
+    return {name: blocks[kind][i] for name, kind, i in _GRU_BLOCKS}
 
 
 def save_checkpoint(model: DualEncoderModel, path) -> None:
-    tensors = model.all_tensors()
+    tensors = {"embeddings.matrix": model.embeddings.matrix, "bilinear": model.bilinear}
+    encoders = (model.context_encoder, model.response_encoder)
+    for prefix, encoder in zip(_encoder_prefixes(model.tied), encoders):
+        tensors.update((prefix + name, t) for name, t in _checkpoint_tensors(encoder).items())
     variant = model.context_encoder.variant
     header = {
         "bilinear_dim": model.encoder_output_dim,
@@ -838,33 +820,44 @@ def save_checkpoint(model: DualEncoderModel, path) -> None:
     write_container(path, _CKPT_MAGIC, header, tensors.values())
 
 
+def _encoder_from_checkpoint(
+    header: dict, prefix: str, tensors: dict[str, np.ndarray]
+) -> EncoderParams:
+    sub = {
+        name[len(prefix) :]: tensor
+        for name, tensor in tensors.items()
+        if name.startswith(prefix)
+    }
+    gru = header["variant"] == "gru"
+    names = [name for name, _, _ in _GRU_BLOCKS] if gru else list(AttentionParams.NAMES)
+    if sorted(sub) != sorted(names):
+        raise DataError(f"checkpoint {prefix}* tensors are {sorted(sub)}, expected {names}")
+    if not gru:
+        return AttentionParams(**sub)
+    hidden, dim = header["hidden"], header["dim"]
+    shapes = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
+    for name, kind, _ in _GRU_BLOCKS:
+        if sub[name].shape != shapes[kind]:
+            raise DataError(
+                f"GRU tensor {prefix}{name} must have shape {shapes[kind]} "
+                f"for hidden {hidden} and input dim {dim}, got {sub[name].shape}"
+            )
+    return GruParams(*(
+        np.concatenate([sub[name] for name, k, _ in _GRU_BLOCKS if k == kind]) for kind in "wub"
+    ))
+
+
 def _model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> DualEncoderModel:
     vocab = {t: i for i, t in enumerate(header["vocab"])}
     embeddings = EmbeddingTable._restore(vocab, tensors["embeddings.matrix"])
-
-    def build_params(prefix: str) -> EncoderParams:
-        sub = {
-            name[len(prefix) :]: tensor
-            for name, tensor in tensors.items()
-            if name.startswith(prefix)
-        }
-        cls = GruParams if header["variant"] == "gru" else AttentionParams
-        if sorted(sub) != sorted(cls.NAMES):
-            raise DataError(
-                f"checkpoint {prefix}* tensors are {sorted(sub)}, expected {list(cls.NAMES)}"
-            )
-        return cls(**sub)
-
-    if header["tied"]:
-        context = build_params("encoder.")
-        response = context
-    else:
-        context = build_params("context_encoder.")
-        response = build_params("response_encoder.")
+    encoders = [
+        _encoder_from_checkpoint(header, prefix, tensors)
+        for prefix in _encoder_prefixes(header["tied"])
+    ]
     return DualEncoderModel(
         embeddings=embeddings,
-        context_encoder=context,
-        response_encoder=response,
+        context_encoder=encoders[0],
+        response_encoder=encoders[-1],
         bilinear=tensors["bilinear"],
         train_embeddings=bool(header["train_embeddings"]),
     )

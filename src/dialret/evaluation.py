@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ContextResponsePair
+from .corpus import ContextResponsePair, read_text_lines
 from .distribution import ResponseDistribution, TransformSpec, transform
 from .encoder import DualEncoderModel, encode, encode_batch, sigmoid, truncate_context, truncate_response
 from .errors import CandidatePoolError, DataError
@@ -399,43 +399,49 @@ def write_annotation_key(path, rows: Sequence[AnnotationRow]) -> None:
             fh.write(f"{line_no}\t{row.model}\n")
 
 
+def _tsv_rows(path, kind: str, width: int):
+    """Yield (line number, fields) of each non-blank line after a TSV's header."""
+    lines = read_text_lines(path, kind)
+    if next(lines, None) is None:
+        raise DataError(f"{kind} {path} is empty; expected a header line")
+    for line_no, line in enumerate(lines, start=2):
+        if line.strip():
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != width:
+                raise DataError(f"{kind} line {line_no}: expected {width} tab-separated fields")
+            yield line_no, fields
+
+
+def _int_field(text: str, kind: str, line_no: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{kind} line {line_no}: {what} {text!r} is not an integer")
+
+
 def read_marked_annotation(
     path, key_path=None
 ) -> dict[str, list[AnnotationRecord]]:
     """Parse a marked annotation file back into per-model records.
 
     Without a key file all rows are attributed to one model named
-    ``model``. Every question must have exactly 3 marked responses.
+    ``model``. Every question must have exactly 3 marked responses. Any
+    malformed line, and a file without its header, raises DataError.
     """
     models: dict[int, str] = {}
     if key_path is not None:
-        with open(key_path, encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                if not line.strip():
-                    continue
-                line_no, model = line.rstrip("\n").split("\t")
-                models[int(line_no)] = model
+        for line_no, (row, model) in _tsv_rows(key_path, "annotation key", 2):
+            models[_int_field(row, "annotation key", line_no, "line")] = model
     grouped: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise DataError(f"line {line_no}: expected 4 tab-separated fields")
-            question_id, rank, response, mark = fields
-            if not mark.strip():
-                raise DataError(f"line {line_no}: missing mark")
-            try:
-                mark_value = int(mark)
-            except ValueError:
-                raise DataError(f"line {line_no}: mark {mark!r} is not an integer")
-            model = models.get(line_no, "model")
-            grouped.setdefault((model, question_id), []).append(
-                (int(rank), response, mark_value)
-            )
+    for line_no, (question_id, rank, response, mark) in _tsv_rows(path, "annotation", 4):
+        if not mark.strip():
+            raise DataError(f"annotation line {line_no}: missing mark")
+        model = models.get(line_no, "model")
+        grouped.setdefault((model, question_id), []).append((
+            _int_field(rank, "annotation", line_no, "rank"),
+            response,
+            _int_field(mark, "annotation", line_no, "mark"),
+        ))
     records: dict[str, list[AnnotationRecord]] = {}
     for (model, question_id), entries in grouped.items():
         entries.sort()

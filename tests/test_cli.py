@@ -287,6 +287,9 @@ class TestSubcommands:
         ["retrieve", "--index", "{root}/out/history_identity.idx", "--query", "ask1",
          "--top-k", "0"],
         ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--exponent", "nan"],
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--dialogues", "0"],
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--responses", "-1"],
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--vocab", "-3"],
     ])
     def test_negative_seed_is_usage_error(self, workspace, capsys, command):
         # Also every other out-of-range numeric flag: the last two words.
@@ -360,6 +363,52 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "data error" in err
         assert ("u_h" if defect == "missing" else "b_r") in err
+
+    @pytest.mark.parametrize("bad, code", [("corpus", 4), ("embeddings", 4), ("config", 2)])
+    def test_non_utf8_input_exit_code(self, workspace, tmp_path, capsys, bad, code):
+        target = tmp_path / f"bad_{bad}"
+        target.write_bytes(b"\xff\xfe" + "not utf-8".encode("utf-16-le"))
+        corpus = target if bad == "corpus" else workspace / "corpus.jsonl"
+        paths = {"corpus": str(corpus), "output_dir": "out"}
+        if bad == "embeddings":
+            paths["embeddings"] = str(target)
+        config = write_config(tmp_path / "config.json", corpus, paths=paths)
+        if bad == "config":
+            config = target
+        argv = ["build-trainset", "--config", str(config), "--transform", "kde:0.4"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", [
+        "rank-not-integer", "mark-not-integer", "empty-file", "key-line-without-tab",
+        "key-line-not-integer", "not-utf8",
+    ])
+    def test_malformed_marked_annotation_exit_4(self, tmp_path, capsys, defect):
+        anno = ["question_id\trank\tresponse\tmark"] + [
+            f"q1\t{rank}\tresponse {rank}\t{rank % 2}" for rank in (1, 2, 3)
+        ]
+        key = ["line\tmodel", "2\ta", "3\ta", "4\ta"]
+        if defect == "rank-not-integer":
+            anno[2] = "q1\ttwo\tresponse 2\t0"
+        elif defect == "mark-not-integer":
+            anno[2] = "q1\t2\tresponse 2\tgood"
+        elif defect == "empty-file":
+            anno = []
+        elif defect == "key-line-without-tab":
+            key[2] = "3 a"
+        elif defect == "key-line-not-integer":
+            key[2] = "three\ta"
+        anno_path, key_path = tmp_path / "marked.tsv", tmp_path / "key.tsv"
+        anno_path.write_text("".join(line + "\n" for line in anno), encoding="utf-8")
+        key_path.write_text("\n".join(key) + "\n", encoding="utf-8")
+        if defect == "not-utf8":
+            anno_path.write_bytes(b"\xff\xfe" + anno_path.read_text().encode("utf-16-le"))
+        assert main(["score-anno", "--anno", str(anno_path), "--key", str(key_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: annotation")
+        assert "Traceback" not in err
 
     def test_missing_input_exit_3(self, workspace):
         assert main([

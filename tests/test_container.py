@@ -75,6 +75,10 @@ def test_checkpoint_bytes(tmp_path, variant, tied):
         if name == "bilinear":
             return model.bilinear
         prefix, _, attr = name.partition(".")
+        if variant == "gru":
+            # Gate block g of fused w, u or b: rows g*H up to (g+1)*H.
+            kind, _, gate = attr.partition("_")
+            return np.split(getattr(params[prefix], kind), 3)["zrh".index(gate)]
         return getattr(params[prefix], attr)
 
     payload = [tensor(name) for name, _ in layout]

@@ -33,11 +33,9 @@ from dialret.sampling import TrainingExample
 
 
 def zero_gru(input_dim, hidden):
-    z = lambda *shape: np.zeros(shape)
     return GruParams(
-        w_z=z(hidden, input_dim), u_z=z(hidden, hidden), b_z=z(hidden),
-        w_r=z(hidden, input_dim), u_r=z(hidden, hidden), b_r=z(hidden),
-        w_h=z(hidden, input_dim), u_h=z(hidden, hidden), b_h=z(hidden),
+        w=np.zeros((3 * hidden, input_dim)), u=np.zeros((3 * hidden, hidden)),
+        b=np.zeros(3 * hidden),
     )
 
 
@@ -59,21 +57,22 @@ def random_gru(input_dim, hidden, seed):
     rng = np.random.default_rng(seed)
     draw = lambda *shape: rng.normal(scale=0.6, size=shape)
     return GruParams(
-        w_z=draw(hidden, input_dim), u_z=draw(hidden, hidden), b_z=draw(hidden),
-        w_r=draw(hidden, input_dim), u_r=draw(hidden, hidden), b_r=draw(hidden),
-        w_h=draw(hidden, input_dim), u_h=draw(hidden, hidden), b_h=draw(hidden),
+        w=draw(3 * hidden, input_dim), u=draw(3 * hidden, hidden), b=draw(3 * hidden),
     )
 
 
 def reference_gru(params, emb, tokens):
     """Final GRU state by the module docstring's per-gate equations."""
-    t = params.tensors()
+    # Gate rows of the fused tensors, in z, r, h order.
+    wz, wr, wh = np.split(params.w, 3)
+    uz, ur, uh = np.split(params.u, 3)
+    bz, br, bh = np.split(params.b, 3)
     h = np.zeros(params.hidden)
     for token in tokens:
         e = emb.vector(token)
-        z = sigmoid(t["w_z"] @ e + t["u_z"] @ h + t["b_z"])
-        r = sigmoid(t["w_r"] @ e + t["u_r"] @ h + t["b_r"])
-        g = np.tanh(t["w_h"] @ e + t["u_h"] @ (r * h) + t["b_h"])
+        z = sigmoid(wz @ e + uz @ h + bz)
+        r = sigmoid(wr @ e + ur @ h + br)
+        g = np.tanh(wh @ e + uh @ (r * h) + bh)
         h = (1.0 - z) * h + z * g
     return h
 
@@ -437,25 +436,22 @@ class TestTrain:
 
 
 class TestGruParams:
-    def test_tensors_are_views_of_fused_storage(self):
-        params = random_gru(4, 3, seed=25)
-        assert params.w.shape == (9, 4) and params.u.shape == (9, 3)
-        assert params.b.shape == (9,)
-        tensors = params.tensors()
-        assert list(tensors) == list(GruParams.NAMES)
-        tensors["u_r"][1, 2] = 7.0
-        assert params.u[3 + 1, 2] == 7.0
-        params.b_h[0] = -2.0
-        assert params.b[6] == -2.0 and params.tensors()["b_h"][0] == -2.0
+    def test_tied_model_trains_fused_tensors(self):
+        emb = random_embeddings(tiny_vocab(), 4, 1.0, seed=25)
+        model = DualEncoderModel.create(emb, variant="gru", hidden=3, seed=25)
+        shapes = {name: t.shape for name, t in model.trainable_tensors().items()}
+        assert shapes == {
+            "bilinear": (3, 3), "encoder.w": (9, 4), "encoder.u": (9, 3), "encoder.b": (9,),
+        }
 
     @pytest.mark.parametrize("name, shape", [
-        ("w_r", (3, 5)), ("u_h", (3, 4)), ("b_z", (4,)), ("w_z", (3,)),
+        ("w", (10, 4)), ("u", (9, 4)), ("b", (12,)), ("w", (9,)),
     ])
     def test_misshapen_tensor_rejected(self, name, shape):
-        blocks = random_gru(4, 3, seed=26).tensors()
-        blocks[name] = np.zeros(shape)
-        with pytest.raises(DataError, match=name):
-            GruParams(**blocks)
+        tensors = random_gru(4, 3, seed=26).tensors()
+        tensors[name] = np.zeros(shape)
+        with pytest.raises(DataError, match=f"GRU tensor {name} "):
+            GruParams(**tensors)
 
 
 class TestAttentionParams:

@@ -163,23 +163,24 @@ class TestBuildTrainingSet:
         dialogues = make_synthetic_corpus(300, 20, 60, 1.2, seed=6)
         pairs = extract_all_pairs(dialogues)
         dist = count_responses(pairs)
-        top = max(dist.entries, key=lambda e: e.prob)
+        top = int(np.argmax(dist.probs))
+        top_response, top_prob = dist.responses[top], dist.probs[top]
         strategy = SamplingStrategy(transform=TransformSpec.uniform(), neg_per_pos=5)
         examples = build_training_set(pairs, dist, strategy, derive_rng(8, "u"))
         negatives = [e for e in examples if e.label == 0]
         observed = sum(
-            1 for e in negatives if " ".join(e.response_tokens) == top.response
+            1 for e in negatives if " ".join(e.response_tokens) == top_response
         ) / len(negatives)
         # Expectation under the uniform transform with per-pair exclusion:
         # pairs whose truth is the top response can never draw it, the
         # rest draw it with probability 1/(n-1).
         n = len(dist)
-        share_other = sum(1 for p in pairs if p.response_text != top.response) / len(pairs)
+        share_other = sum(1 for p in pairs if p.response_text != top_response) / len(pairs)
         expected = share_other / (n - 1)
         sigma = np.sqrt(expected * (1 - expected) / len(negatives))
         assert abs(observed - expected) < 4 * sigma + 1e-9
         # And nowhere near the empirical probability of the top response.
-        assert observed < top.prob / 3
+        assert observed < top_prob / 3
 
     def test_sampler_marginal_matches_transform_targets(self):
         rng = np.random.default_rng(11)
