@@ -1,16 +1,18 @@
 """Command-line entry point wiring all modules into reproducible runs.
 
 Subcommands: ingest, stats, build-trainset, train, retrieve, eval, grid,
-export-anno, score-anno, make-synthetic-corpus. All but the last three
-read a JSON config file (flags override individual fields), write their
-artifacts under the configured output directory, and drop a
+export-anno, score-anno, make-synthetic-corpus. All but ``retrieve``,
+``score-anno`` and ``make-synthetic-corpus`` read a JSON config file
+(flags override individual fields) and write their artifacts under the
+configured output directory. For each of them ``main`` loads the config,
+makes the output directory, runs the command and writes a
 ``<command>.manifest.json`` with the argv, config echo, and SHA-256 of
 every input and output, so any artifact can be traced and regenerated.
-``retrieve``, ``score-anno`` and ``make-synthetic-corpus`` take their
-inputs from flags alone and write no manifest.
+The other three take their inputs from flags alone and write no manifest.
 
-Exit codes: 0 success, 2 bad usage or config, 3 missing input file,
-4 malformed data, 5 numerical failure, 1 anything else.
+Exit codes: 0 success, 2 bad usage or config, 3 missing input file (or a
+directory in its place), 4 malformed data, 5 numerical failure, 1
+anything else.
 """
 
 from __future__ import annotations
@@ -39,24 +41,22 @@ logger = logging.getLogger("dialret")
 
 
 def _write_manifest(
-    cfg_dir: Path, command: str, argv, cfg: ExperimentConfig | None,
-    inputs: list[Path], outputs: list[Path],
-) -> Path:
+    command: str, argv, cfg: ExperimentConfig, inputs: list[Path], outputs: list[Path],
+) -> None:
     manifest = {
         "command": command,
         "argv": list(argv),
-        "master_seed": cfg.master_seed if cfg else None,
-        "config": cfg.raw if cfg else None,
+        "master_seed": cfg.master_seed,
+        "config": cfg.raw,
         "inputs": {str(p): retr_mod.file_sha256(p) for p in inputs},
         "outputs": {str(p): retr_mod.file_sha256(p) for p in outputs},
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = cfg_dir / f"{command}.manifest.json"
+    path = cfg.output_dir / f"{command}.manifest.json"
     path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    return path
 
 
 class _Corpus:
@@ -110,18 +110,16 @@ def _safe_label(label: str) -> str:
     return label.replace(":", "_")
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir
-
-
 # ----------------------------------------------------------------------
 # subcommand implementations
+#
+# A ``--config`` command runs as ``command(args, cfg)`` once ``main`` has
+# loaded the config and made its output directory, and returns the inputs
+# besides the corpus and the outputs that ``main`` records in its manifest.
 # ----------------------------------------------------------------------
 
-def cmd_ingest(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_ingest(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
+    out = cfg.output_dir
     data = _Corpus(cfg)
     errors_path = out / "ingest_errors.txt"
     with open(errors_path, "w", encoding="utf-8") as fh:
@@ -132,32 +130,26 @@ def cmd_ingest(args, argv) -> int:
         path = out / f"{name}.ids"
         corpus_mod.write_split_manifest(path, part)
         outputs.append(path)
-    _write_manifest(out, "ingest", argv, cfg, [cfg.corpus_path], outputs)
     sizes = "/".join(str(len(part)) for part in data.splits.values())
     print(
         f"ingested {len(data.parsed.dialogues)} dialogues "
         f"({len(data.parsed.errors)} rejected); split {sizes} -> {out}"
     )
-    return 0
+    return [], outputs
 
 
-def cmd_stats(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_stats(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     dist = dist_mod.count_responses(_Corpus(cfg).pairs(args.split))
     report = dist_mod.distribution_report(dist)
     text = dist_mod.format_report(report)
-    path = out / f"stats_{args.split}.tsv"
+    path = cfg.output_dir / f"stats_{args.split}.tsv"
     path.write_text(text, encoding="utf-8")
-    _write_manifest(out, "stats", argv, cfg, [cfg.corpus_path], [path])
     sys.stdout.write(text)
     print(f"wrote {path}")
-    return 0
+    return [], [path]
 
 
-def cmd_build_trainset(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     transform_label = args.transform or cfg.sampling_transform
     spec = dist_mod.TransformSpec.parse(transform_label)
     neg = args.neg_ratio if args.neg_ratio is not None else cfg.neg_per_pos
@@ -175,17 +167,14 @@ def cmd_build_trainset(args, argv) -> int:
         data.pairs("train"), data.train_dist, strategy, rng, embeddings
     )
     suffix = _safe_label(transform_label) + ("_filtered" if filter_flag else "")
-    path = out / f"trainset_{suffix}.jsonl"
+    path = cfg.output_dir / f"trainset_{suffix}.jsonl"
     samp_mod.write_training_set(path, examples)
-    _write_manifest(out, "build-trainset", argv, cfg, [cfg.corpus_path], [path])
     positives = sum(e.label for e in examples)
     print(f"wrote {len(examples)} examples ({positives} positive) -> {path}")
-    return 0
+    return [], [path]
 
 
-def _train_one_variant(
-    cfg: ExperimentConfig, transform_label: str, out: Path, data: _Corpus
-):
+def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpus):
     """Build a trainset, train a model, and persist everything.
 
     Returns (model, checkpoint_path, index_path, artifact_paths).
@@ -201,8 +190,18 @@ def _train_one_variant(
         filter_by_inverse_count=cfg.filter_by_inverse_count,
     )
     kde_embeddings = embeddings_table if spec.kind == "kde" else None
-    rng = derive_rng(cfg.master_seed, "trainset", transform_label)
-    examples = samp_mod.build_training_set(pairs, dist, strategy, rng, kde_embeddings)
+    resampler = None
+    if cfg.resample_each_epoch:
+        resampler = samp_mod.make_epoch_resampler(
+            pairs, dist, strategy,
+            derive_seed(cfg.master_seed, "trainset", transform_label),
+            kde_embeddings,
+        )
+        # The written trainset is epoch 0's, the first set training uses.
+        examples = resampler(0)
+    else:
+        rng = derive_rng(cfg.master_seed, "trainset", transform_label)
+        examples = samp_mod.build_training_set(pairs, dist, strategy, rng, kde_embeddings)
     model = enc_mod.DualEncoderModel.create(
         embeddings_table,
         variant=cfg.encoder_variant,
@@ -219,20 +218,13 @@ def _train_one_variant(
         gradient_clip_norm=cfg.gradient_clip_norm,
         eval_every=cfg.eval_every,
     )
-    resampler = None
-    if cfg.resample_each_epoch:
-        resampler = samp_mod.make_epoch_resampler(
-            pairs, dist, strategy,
-            derive_seed(cfg.master_seed, "trainset", transform_label),
-            kde_embeddings,
-        )
     result = enc_mod.train(model, examples, train_config, resampler=resampler)
     suffix = _safe_label(transform_label)
-    trainset_path = out / f"trainset_{suffix}.jsonl"
+    trainset_path = cfg.output_dir / f"trainset_{suffix}.jsonl"
     samp_mod.write_training_set(trainset_path, examples)
-    ckpt_path = out / f"model_{suffix}.ckpt"
+    ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
     enc_mod.save_checkpoint(model, ckpt_path)
-    trace_path = out / f"train_{suffix}_loss.tsv"
+    trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         for iteration, loss in result.loss_trace:
             fh.write(f"{iteration}\t{loss!r}\n")
@@ -244,21 +236,18 @@ def _train_one_variant(
             checkpoint_ref=ckpt_path.name,
             checkpoint_sha256=retr_mod.file_sha256(ckpt_path),
         )
-        index_path = out / f"history_{suffix}.idx"
+        index_path = cfg.output_dir / f"history_{suffix}.idx"
         retr_mod.save_index(index, index_path)
         artifacts.append(index_path)
     return model, ckpt_path, index_path, artifacts
 
 
-def cmd_train(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_train(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     label = args.transform or cfg.sampling_transform
-    _, ckpt, index_path, artifacts = _train_one_variant(cfg, label, out, _Corpus(cfg))
-    _write_manifest(out, "train", argv, cfg, [cfg.corpus_path], artifacts)
+    _, ckpt, index_path, artifacts = _train_one_variant(cfg, label, _Corpus(cfg))
     where = f"{ckpt}" + (f" and {index_path}" if index_path else "")
     print(f"trained '{label}' variant -> {where}")
-    return 0
+    return [], artifacts
 
 
 def _load_index_with_model(index_path: Path, checkpoint: str | None):
@@ -271,8 +260,6 @@ def _load_index_with_model(index_path: Path, checkpoint: str | None):
         ckpt_path = candidate
     if ckpt_path is None:
         raise ConfigError("index has no checkpoint reference; pass --checkpoint")
-    if not ckpt_path.exists():
-        raise FileNotFoundError(f"checkpoint {ckpt_path} not found")
     if index.checkpoint_sha256:
         actual = retr_mod.file_sha256(ckpt_path)
         if actual != index.checkpoint_sha256:
@@ -284,11 +271,8 @@ def _load_index_with_model(index_path: Path, checkpoint: str | None):
     return index
 
 
-def cmd_retrieve(args, argv) -> int:
-    index_path = Path(args.index)
-    if not index_path.exists():
-        raise FileNotFoundError(f"index {index_path} not found")
-    index = _load_index_with_model(index_path, args.checkpoint)
+def cmd_retrieve(args) -> int:
+    index = _load_index_with_model(Path(args.index), args.checkpoint)
     tokens = corpus_mod.tokenize(args.query)
     if not tokens:
         raise DataError("query contains no tokens")
@@ -308,26 +292,20 @@ def _eval_config(cfg: ExperimentConfig, alt_label: str) -> eval_mod.EvalConfig:
     )
 
 
-def cmd_eval(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
     alt_label = args.alternative_transform or cfg.eval_alternative_transform
     eval_cfg = _eval_config(cfg, alt_label)
 
-    inputs = [cfg.corpus_path]
     if args.index:
         scorer = _load_index_with_model(Path(args.index), args.checkpoint)
         scorer_name = "history-index"
-        inputs.append(Path(args.index))
+        inputs = [Path(args.index)]
     elif args.checkpoint:
-        ckpt = Path(args.checkpoint)
-        if not ckpt.exists():
-            raise FileNotFoundError(f"checkpoint {ckpt} not found")
-        scorer = enc_mod.load_checkpoint(ckpt)
+        scorer = enc_mod.load_checkpoint(Path(args.checkpoint))
         scorer_name = "dual-encoder"
-        inputs.append(ckpt)
+        inputs = [Path(args.checkpoint)]
     else:
         raise ConfigError("eval needs --checkpoint or --index")
 
@@ -336,17 +314,15 @@ def cmd_eval(args, argv) -> int:
         embeddings = _embeddings_for(cfg, data.dialogues("train"))
     report = eval_mod.evaluate(scorer, test_pairs, train_dist, eval_cfg, embeddings)
     text = eval_mod.format_eval_report(report)
-    path = out / f"eval_{scorer_name}_{_safe_label(alt_label)}.txt"
+    path = cfg.output_dir / f"eval_{scorer_name}_{_safe_label(alt_label)}.txt"
     path.write_text(text, encoding="utf-8")
-    _write_manifest(out, "eval", argv, cfg, inputs, [path])
     sys.stdout.write(text)
     print(f"wrote {path}")
-    return 0
+    return inputs, [path]
 
 
-def cmd_grid(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
+    out = cfg.output_dir
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
 
@@ -354,7 +330,7 @@ def cmd_grid(args, argv) -> int:
     artifacts: list[Path] = []
     for label in cfg.grid_train_transforms:
         logger.info("grid: training variant %r", label)
-        model, _, _, model_artifacts = _train_one_variant(cfg, label, out, data)
+        model, _, _, model_artifacts = _train_one_variant(cfg, label, data)
         scorers[label] = model
         artifacts.extend(model_artifacts)
 
@@ -378,20 +354,17 @@ def cmd_grid(args, argv) -> int:
     table_path = out / "grid_table.txt"
     table_path.write_text(table, encoding="utf-8")
     artifacts.append(table_path)
-    _write_manifest(out, "grid", argv, cfg, [cfg.corpus_path], artifacts)
     sys.stdout.write(table)
     print(f"wrote {table_path}")
-    return 0
+    return [], artifacts
 
 
-def cmd_export_anno(args, argv) -> int:
-    cfg = load_config(args.config, require_corpus=True)
-    out = _outdir(cfg)
+def cmd_export_anno(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     data = _Corpus(cfg)
     test_pairs, pool = data.pairs(cfg.eval_split), data.train_dist.responses
 
     scorers: dict[str, object] = {}
-    inputs = [cfg.corpus_path]
+    inputs: list[Path] = []
     if args.checkpoint:
         scorers["dual-encoder"] = enc_mod.load_checkpoint(Path(args.checkpoint))
         inputs.append(Path(args.checkpoint))
@@ -400,8 +373,6 @@ def cmd_export_anno(args, argv) -> int:
         inputs.append(Path(args.index))
     for name, entry in cfg.annotation_models.items():
         path = (Path(args.config).parent / entry["path"]).resolve()
-        if not path.exists():
-            raise FileNotFoundError(f"annotation model {name}: {path} not found")
         if entry["kind"] == "checkpoint":
             scorers[name] = enc_mod.load_checkpoint(path)
         else:
@@ -421,23 +392,16 @@ def cmd_export_anno(args, argv) -> int:
         n_responses=cfg.annotation_n_responses,
         seed=derive_seed(cfg.master_seed, "annotation"),
     )
-    anno_path = out / "annotation.tsv"
-    key_path = out / "annotation_key.tsv"
+    anno_path = cfg.output_dir / "annotation.tsv"
+    key_path = cfg.output_dir / "annotation_key.tsv"
     eval_mod.write_annotation_file(anno_path, rows)
     eval_mod.write_annotation_key(key_path, rows)
-    _write_manifest(out, "export-anno", argv, cfg, inputs, [anno_path, key_path])
     print(f"wrote {len(rows)} rows for {len(questions)} questions -> {anno_path}")
-    return 0
+    return inputs, [anno_path, key_path]
 
 
-def cmd_score_anno(args, argv) -> int:
-    anno_path = Path(args.anno)
-    if not anno_path.exists():
-        raise FileNotFoundError(f"annotation file {anno_path} not found")
-    key_path = Path(args.key) if args.key else None
-    if key_path is not None and not key_path.exists():
-        raise FileNotFoundError(f"key file {key_path} not found")
-    per_model = eval_mod.read_marked_annotation(anno_path, key_path)
+def cmd_score_anno(args) -> int:
+    per_model = eval_mod.read_marked_annotation(args.anno, args.key)
     lines = ["model\tquestions\tCR\tUR"]
     for model in sorted(per_model):
         records = per_model[model]
@@ -451,7 +415,7 @@ def cmd_score_anno(args, argv) -> int:
     return 0
 
 
-def cmd_make_synthetic_corpus(args, argv) -> int:
+def cmd_make_synthetic_corpus(args) -> int:
     dialogues = synth_mod.make_synthetic_corpus(
         num_dialogues=args.dialogues,
         distinct_responses=args.responses,
@@ -474,9 +438,7 @@ def cmd_make_synthetic_corpus(args, argv) -> int:
 
 def _number(kind: type, minimum: int | None = None):
     """argparse type for a finite ``kind`` value of at least ``minimum``."""
-    what = {0: "a non-negative integer", 1: "a positive integer"}.get(
-        minimum, "a finite number"
-    )
+    what = "a finite number" if minimum is None else f"an integer of at least {minimum}"
 
     def parse(text: str):
         try:
@@ -550,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-synthetic-corpus", help="generate a Zipf corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--dialogues", type=_number(int, 1), default=2000)
-    p.add_argument("--responses", type=_number(int, 1), default=100)
+    p.add_argument("--responses", type=_number(int, 2), default=100)
     p.add_argument("--vocab", type=_number(int, 1), default=250)
     p.add_argument("--exponent", type=_number(float), default=1.0)
     p.add_argument("--seed", type=_number(int, 0), default=0)
@@ -583,12 +545,21 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args, argv)
+        if not hasattr(args, "config"):
+            return command(args)
+        cfg = load_config(args.config, require_corpus=True)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        extra_inputs, outputs = command(args, cfg)
+        _write_manifest(
+            args.command, argv, cfg, [cfg.corpus_path, *extra_inputs], outputs
+        )
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:

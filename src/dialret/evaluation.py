@@ -311,15 +311,19 @@ RESPONSES_PER_QUESTION = 3
 
 @dataclass(frozen=True)
 class AnnotationRecord:
+    """One question's proposed responses in rank order, with one mark each."""
+
     question_id: str
-    responses: tuple[str, str, str]
-    marks: tuple[int, int, int]
+    responses: tuple[str, ...]
+    marks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.responses) != RESPONSES_PER_QUESTION:
-            raise DataError("exactly 3 responses per question")
-        if len(self.marks) != RESPONSES_PER_QUESTION:
-            raise DataError("exactly 3 marks per question")
+        if not self.responses:
+            raise DataError("a question needs at least one response")
+        if len(self.marks) != len(self.responses):
+            raise DataError(
+                f"{len(self.responses)} responses but {len(self.marks)} marks"
+            )
         for mark in self.marks:
             if mark not in VALID_MARKS:
                 raise DataError(f"mark {mark!r} outside 0..3")
@@ -425,8 +429,10 @@ def read_marked_annotation(
     """Parse a marked annotation file back into per-model records.
 
     Without a key file all rows are attributed to one model named
-    ``model``. Every question must have exactly 3 marked responses. Any
-    malformed line, and a file without its header, raises DataError.
+    ``model``. The ranks of each question must be exactly 1..n, with the
+    same n for every question of a model, so a dropped or duplicated row
+    is caught. Any malformed line, and a file without its header, raises
+    DataError.
     """
     models: dict[int, str] = {}
     if key_path is not None:
@@ -443,8 +449,17 @@ def read_marked_annotation(
             _int_field(mark, "annotation", line_no, "mark"),
         ))
     records: dict[str, list[AnnotationRecord]] = {}
+    sizes: dict[str, int] = {}
     for (model, question_id), entries in grouped.items():
         entries.sort()
+        where = f"annotation question {question_id!r} of model {model!r}"
+        ranks = [e[0] for e in entries]
+        if ranks != list(range(1, len(entries) + 1)):
+            raise DataError(f"{where}: ranks {ranks}, expected 1..{len(entries)}")
+        if sizes.setdefault(model, len(entries)) != len(entries):
+            raise DataError(
+                f"{where}: {len(entries)} responses, earlier questions have {sizes[model]}"
+            )
         records.setdefault(model, []).append(
             AnnotationRecord(
                 question_id=question_id,

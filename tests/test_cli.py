@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -7,7 +8,11 @@ import pytest
 
 from dialret.cli import main
 from dialret.config import ExperimentConfig, load_config, parse_config
+from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
+from dialret.distribution import TransformSpec, count_responses
 from dialret.errors import ConfigError
+from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
+from dialret.seeding import derive_seed
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_dialogues.jsonl"
 
@@ -245,6 +250,30 @@ class TestSubcommands:
         trace = (out / "train_identity_loss.tsv").read_text().splitlines()
         assert [int(l.split("\t")[0]) for l in trace] == [20, 40, 60]
 
+    def test_resampling_trainset_is_what_training_used(self, workspace, tmp_path):
+        corpus = workspace / "corpus.jsonl"
+        config = write_config(
+            tmp_path / "config.json", corpus, sampling={"resample_each_epoch": True}
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        cfg = load_config(config)
+        parsed = parse_dialogues(corpus.read_text(encoding="utf-8").splitlines())
+        train_dialogues, _, _ = split_corpus(
+            parsed.dialogues, cfg.split_spec(seed=derive_seed(cfg.master_seed, "split"))
+        )
+        pairs = extract_all_pairs(train_dialogues, cfg.max_context_turns)
+        strategy = SamplingStrategy(
+            transform=TransformSpec.parse("identity"), neg_per_pos=cfg.neg_per_pos
+        )
+        resample = make_epoch_resampler(
+            pairs, count_responses(pairs), strategy,
+            derive_seed(cfg.master_seed, "trainset", "identity"),
+        )
+        expected = tmp_path / "epoch0.jsonl"
+        write_training_set(expected, resample(0))
+        written = tmp_path / "out" / "trainset_identity.jsonl"
+        assert written.read_bytes() == expected.read_bytes()
+
     def test_retrieve_prints_ranked(self, workspace, capsys):
         index = workspace / "out" / "history_identity.idx"
         assert main([
@@ -290,6 +319,7 @@ class TestSubcommands:
         ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--dialogues", "0"],
         ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--responses", "-1"],
         ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--vocab", "-3"],
+        ["make-synthetic-corpus", "--out", "{root}/neg.jsonl", "--responses", "1"],
     ])
     def test_negative_seed_is_usage_error(self, workspace, capsys, command):
         # Also every other out-of-range numeric flag: the last two words.
@@ -383,7 +413,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("defect", [
         "rank-not-integer", "mark-not-integer", "empty-file", "key-line-without-tab",
-        "key-line-not-integer", "not-utf8",
+        "key-line-not-integer", "not-utf8", "missing-rank-2", "duplicated-rank",
+        "fewer-ranks-than-other-question",
     ])
     def test_malformed_marked_annotation_exit_4(self, tmp_path, capsys, defect):
         anno = ["question_id\trank\tresponse\tmark"] + [
@@ -400,6 +431,13 @@ class TestSubcommands:
             key[2] = "3 a"
         elif defect == "key-line-not-integer":
             key[2] = "three\ta"
+        elif defect == "missing-rank-2":
+            del anno[2]
+        elif defect == "duplicated-rank":
+            anno[3] = "q1\t2\tresponse 3\t1"
+        elif defect == "fewer-ranks-than-other-question":
+            anno += ["q2\t1\tresponse 1\t0", "q2\t2\tresponse 2\t0"]
+            key += ["5\ta", "6\ta"]
         anno_path, key_path = tmp_path / "marked.tsv", tmp_path / "key.tsv"
         anno_path.write_text("".join(line + "\n" for line in anno), encoding="utf-8")
         key_path.write_text("\n".join(key) + "\n", encoding="utf-8")
@@ -414,6 +452,17 @@ class TestSubcommands:
         assert main([
             "retrieve", "--index", "/nonexistent.idx", "--query", "x",
         ]) == 3
+
+    @pytest.mark.parametrize("command", [
+        ["retrieve", "--index", "{dir}", "--query", "ask1"],
+        ["eval", "--config", "{root}/config.json", "--checkpoint", "{dir}"],
+        ["score-anno", "--anno", "{dir}"],
+    ])
+    def test_directory_as_input_exit_3(self, workspace, tmp_path, capsys, command):
+        assert main([arg.format(root=workspace, dir=tmp_path) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing input:")
+        assert "Traceback" not in err
 
     def test_grid_artifacts_parse(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -464,6 +513,28 @@ class TestSubcommands:
         assert scored.splitlines()[0] == "model\tquestions\tCR\tUR"
         assert "dual-encoder" in scored and "history-index" in scored
 
+    def test_annotation_roundtrip_two_responses(self, workspace, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "config.json", workspace / "corpus.jsonl",
+            annotation={"num_questions": 4, "n_responses": 2},
+        )
+        ckpt = workspace / "out" / "model_identity.ckpt"
+        assert main(["export-anno", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        out = tmp_path / "out"
+        lines = (out / "annotation.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 4 * 2
+        marked = out / "annotation_marked.tsv"
+        marked.write_text(
+            "\n".join([lines[0]] + [line + "2" for line in lines[1:]]) + "\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        key = out / "annotation_key.tsv"
+        assert main(["score-anno", "--anno", str(marked), "--key", str(key)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "model\tquestions\tCR\tUR", "dual-encoder\t4\t1.0000\t1.0000",
+        ]
+
 
 class TestManifests:
     def test_manifest_echoes_config_and_hashes_outputs(self, workspace):
@@ -474,3 +545,28 @@ class TestManifests:
         assert manifest["command"] == "train"
         assert any("model_identity.ckpt" in k for k in manifest["outputs"])
         assert "created_at" in manifest
+
+    @pytest.mark.parametrize("command, scorer", [
+        ("ingest", None), ("stats", None), ("build-trainset", None), ("train", None),
+        ("eval", "model_identity.ckpt"), ("grid", None),
+        ("export-anno", "history_identity.idx"),
+    ])
+    def test_every_config_command_records_its_run(self, workspace, tmp_path, command, scorer):
+        corpus = workspace / "corpus.jsonl"
+        argv = [command, "--config", str(write_config(tmp_path / "config.json", corpus))]
+        inputs = [corpus]
+        if scorer is not None:
+            path = workspace / "out" / scorer
+            argv += ["--checkpoint" if path.suffix == ".ckpt" else "--index", str(path)]
+            inputs.append(path)
+        assert main(argv) == 0
+        manifest = json.loads(
+            (tmp_path / "out" / f"{command}.manifest.json").read_text(encoding="utf-8")
+        )
+        assert manifest["command"] == command
+        assert {Path(p).resolve() for p in manifest["inputs"]} == {
+            p.resolve() for p in inputs
+        }
+        assert manifest["outputs"]
+        for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest

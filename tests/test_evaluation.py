@@ -341,7 +341,11 @@ class TestScoreHumanMarks:
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(DataError):
-            AnnotationRecord("q", ("a", "b"), (0, 0))
+            AnnotationRecord("q", ("a", "b"), (0, 0, 0))
+        with pytest.raises(DataError):
+            AnnotationRecord("q", ("a", "b", "c"), (0,))
+        with pytest.raises(DataError):
+            AnnotationRecord("q", (), ())
 
     @settings(max_examples=300, deadline=None)
     @given(
