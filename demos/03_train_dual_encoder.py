@@ -41,7 +41,7 @@ config = TrainConfig(
     learning_rate=1.0, batch_size=32, max_iterations=2000,
     seed=derive_seed(7, "train"), eval_every=400,
 )
-result = train(model, [], config, resampler=resampler)
+result = train(model, resampler(0), config, resampler=resampler)
 print("loss trace (iteration, mean binary cross-entropy):")
 for iteration, loss in result.loss_trace:
     print(f"  {iteration:>5}  {loss:.4f}")

@@ -34,9 +34,9 @@ model = DualEncoderModel.create(
 resampler = make_epoch_resampler(
     pairs, dist, SamplingStrategy(neg_per_pos=5), derive_seed(7, "ts")
 )
-train(model, [], TrainConfig(learning_rate=1.0, batch_size=32,
-                             max_iterations=1200, seed=derive_seed(7, "train"),
-                             eval_every=400), resampler=resampler)
+train(model, resampler(0), TrainConfig(learning_rate=1.0, batch_size=32,
+                                       max_iterations=1200, seed=derive_seed(7, "train"),
+                                       eval_every=400), resampler=resampler)
 
 index = build_history_index(model, pairs)  # response weight defaults to 0.4
 print(f"indexed {len(index)} history vectors of dim {index.dim} "

@@ -11,11 +11,14 @@ Byte layout, version 1:
 
 Each format's header lists its own payload tensors; the reader takes that
 list from a ``layout`` function and checks every length against the file,
-so a malformed file of either format raises :class:`DataError`.
+so a malformed file of either format raises :class:`DataError`. So do a
+non-finite payload value and a SHA-256 other than the caller expects,
+checked on the bytes the reader decodes, so the file is read once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -48,17 +51,26 @@ def _size(shape) -> int:
 def read_container(
     path, magic: bytes, kind: str,
     layout: Callable[[dict], list], build: Callable[[dict, dict], object],
+    sha256: str | None = None,
 ):
     """``build(header, tensors)`` for the container file at ``path``.
 
     ``layout(header)`` lists the payload as ``(name, shape)`` pairs in file
     order. A wrong magic or version, a short or overlong file, a header
-    that is not JSON, and a ``KeyError``, ``TypeError`` or ``ValueError``
-    raised by ``layout`` or ``build`` all become :class:`DataError`.
+    that is not JSON, a file whose SHA-256 is not ``sha256`` (when given),
+    a non-finite payload value, and a ``KeyError``, ``TypeError`` or
+    ``ValueError`` raised by ``layout`` or ``build`` all become
+    :class:`DataError`.
     """
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            digest.update(data)
+            return data
+
         file_size = os.fstat(fh.fileno()).st_size
-        prefix = fh.read(_PREFIX_BYTES)
+        prefix = read(_PREFIX_BYTES)
         if prefix[:6] != magic:
             raise DataError(f"not a {kind} file (magic {prefix[:6]!r})")
         if len(prefix) < _PREFIX_BYTES:
@@ -72,7 +84,7 @@ def read_container(
         if file_size < offset:
             raise DataError(f"{kind} file truncated in its header")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(read(header_len).decode("utf-8"))
             tensors: dict[str, np.ndarray] = {}
             for name, shape in layout(header):
                 size = 8 * _size(shape)
@@ -81,11 +93,18 @@ def read_container(
                 if file_size < offset + size:
                     raise DataError(f"{kind} truncated while reading {name!r}")
                 tensors[name] = (
-                    np.frombuffer(fh.read(size), "<f8").astype(np.float64).reshape(shape)
+                    np.frombuffer(read(size), "<f8").astype(np.float64).reshape(shape)
                 )
                 offset += size
             if file_size != offset:
                 raise DataError(f"{kind} file has {file_size - offset} bytes after its payload")
+            actual = digest.hexdigest()
+            if sha256 and actual != sha256:
+                raise DataError(f"{kind} {path} hash {actual[:12]}... does not match "
+                                f"the recorded {sha256[:12]}...")
+            for name, tensor in tensors.items():
+                if not np.all(np.isfinite(tensor)):
+                    raise DataError(f"{kind} tensor {name!r} holds non-finite values")
             return build(header, tensors)
         except (KeyError, TypeError, ValueError) as exc:
             # JSON and UTF-8 decode errors are ValueErrors too.

@@ -149,24 +149,44 @@ def cmd_stats(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     return [], [path]
 
 
+def _training_set(
+    cfg: ExperimentConfig, data: _Corpus, label: str, embeddings: enc_mod.EmbeddingTable,
+    seed: int | None = None, neg_per_pos: int | None = None, filter_inverse_count: bool = False,
+):
+    """Epoch 0's training set for the ``label`` variant, and its resampler.
+
+    The one builder behind ``build-trainset`` and ``train``, so both write
+    the same set. ``seed`` and ``neg_per_pos`` replace the config's values
+    and ``filter_inverse_count`` turns the filter on, for the sampling
+    alone: the split and ``embeddings`` still come from the config's master
+    seed. The resampler is ``None`` unless ``sampling.resample_each_epoch``
+    is set; then epoch 0's set is ``resampler(0)``.
+    """
+    seed = cfg.master_seed if seed is None else seed
+    strategy = samp_mod.SamplingStrategy(
+        transform=dist_mod.TransformSpec.parse(label),
+        neg_per_pos=cfg.neg_per_pos if neg_per_pos is None else neg_per_pos,
+        filter_by_inverse_count=cfg.filter_by_inverse_count or filter_inverse_count,
+    )
+    pairs, dist = data.pairs("train"), data.train_dist
+    if not cfg.resample_each_epoch:
+        rng = derive_rng(seed, "trainset", label)
+        return samp_mod.build_training_set(pairs, dist, strategy, rng, embeddings), None
+    resampler = samp_mod.make_epoch_resampler(
+        pairs, dist, strategy, derive_seed(seed, "trainset", label), embeddings
+    )
+    return resampler(0), resampler
+
+
 def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     transform_label = args.transform or cfg.sampling_transform
-    spec = dist_mod.TransformSpec.parse(transform_label)
-    neg = args.neg_ratio if args.neg_ratio is not None else cfg.neg_per_pos
-    filter_flag = cfg.filter_by_inverse_count or args.filter_inverse_count
-    strategy = samp_mod.SamplingStrategy(
-        transform=spec, neg_per_pos=neg, filter_by_inverse_count=filter_flag
-    )
     data = _Corpus(cfg)
-    embeddings = (
-        _embeddings_for(cfg, data.dialogues("train")) if spec.kind == "kde" else None
+    examples, _ = _training_set(
+        cfg, data, transform_label, _embeddings_for(cfg, data.dialogues("train")),
+        args.seed, args.neg_ratio, args.filter_inverse_count,
     )
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    rng = derive_rng(seed, "trainset", transform_label)
-    examples = samp_mod.build_training_set(
-        data.pairs("train"), data.train_dist, strategy, rng, embeddings
-    )
-    suffix = _safe_label(transform_label) + ("_filtered" if filter_flag else "")
+    filtered = cfg.filter_by_inverse_count or args.filter_inverse_count
+    suffix = _safe_label(transform_label) + ("_filtered" if filtered else "")
     path = cfg.output_dir / f"trainset_{suffix}.jsonl"
     samp_mod.write_training_set(path, examples)
     positives = sum(e.label for e in examples)
@@ -179,29 +199,10 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
 
     Returns (model, checkpoint_path, index_path, artifact_paths).
     """
-    pairs, dist = data.pairs("train"), data.train_dist
-    spec = dist_mod.TransformSpec.parse(transform_label)
     # A fresh table per variant: training with train_embeddings updates
     # its matrix in place.
     embeddings_table = _embeddings_for(cfg, data.dialogues("train"))
-    strategy = samp_mod.SamplingStrategy(
-        transform=spec,
-        neg_per_pos=cfg.neg_per_pos,
-        filter_by_inverse_count=cfg.filter_by_inverse_count,
-    )
-    kde_embeddings = embeddings_table if spec.kind == "kde" else None
-    resampler = None
-    if cfg.resample_each_epoch:
-        resampler = samp_mod.make_epoch_resampler(
-            pairs, dist, strategy,
-            derive_seed(cfg.master_seed, "trainset", transform_label),
-            kde_embeddings,
-        )
-        # The written trainset is epoch 0's, the first set training uses.
-        examples = resampler(0)
-    else:
-        rng = derive_rng(cfg.master_seed, "trainset", transform_label)
-        examples = samp_mod.build_training_set(pairs, dist, strategy, rng, kde_embeddings)
+    examples, resampler = _training_set(cfg, data, transform_label, embeddings_table)
     model = enc_mod.DualEncoderModel.create(
         embeddings_table,
         variant=cfg.encoder_variant,
@@ -232,7 +233,7 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
     index_path = None
     if cfg.build_index:
         index = retr_mod.build_history_index(
-            model, pairs, cfg.response_weight,
+            model, data.pairs("train"), cfg.response_weight,
             checkpoint_ref=ckpt_path.name,
             checkpoint_sha256=retr_mod.file_sha256(ckpt_path),
         )
@@ -260,14 +261,7 @@ def _load_index_with_model(index_path: Path, checkpoint: str | None):
         ckpt_path = candidate
     if ckpt_path is None:
         raise ConfigError("index has no checkpoint reference; pass --checkpoint")
-    if index.checkpoint_sha256:
-        actual = retr_mod.file_sha256(ckpt_path)
-        if actual != index.checkpoint_sha256:
-            raise DataError(
-                f"checkpoint {ckpt_path} hash {actual[:12]}... does not match "
-                f"the index's recorded {index.checkpoint_sha256[:12]}..."
-            )
-    index.model = enc_mod.load_checkpoint(ckpt_path)
+    index.model = enc_mod.load_checkpoint(ckpt_path, index.checkpoint_sha256)
     return index
 
 

@@ -104,13 +104,6 @@ class ResponseDistribution:
             responses, [counts[r] / total for r in responses], [counts[r] for r in responses]
         )
 
-    @classmethod
-    def from_probs(
-        cls, responses: Sequence[str], probs: Sequence[float], counts=None
-    ) -> "ResponseDistribution":
-        """Same as ``ResponseDistribution(responses, probs, counts)``."""
-        return cls(responses, probs, counts)
-
 
 def count_responses(pairs: Sequence[ContextResponsePair]) -> ResponseDistribution:
     """Empirical distribution of canonical response strings over pairs."""

@@ -582,15 +582,6 @@ def encode(
     return encode_batch(params, emb, [tokens])[0]
 
 
-def attention_weights(
-    params: AttentionParams, emb: EmbeddingTable, tokens: Sequence[str]
-) -> np.ndarray:
-    """Softmax weights the attention encoder assigns to each token."""
-    idx, mask = _pad_batch(emb, [tokens])
-    _, (_, weights) = _attn_forward(params, emb.matrix[idx], mask)
-    return weights[0]
-
-
 def score_pair(
     model: DualEncoderModel,
     context_tokens: Sequence[str],
@@ -722,10 +713,6 @@ class TrainResult:
     model: DualEncoderModel
     loss_trace: list[tuple[int, float]]
 
-    @property
-    def final_loss(self) -> float:
-        return self.loss_trace[-1][1]
-
 
 def train(
     model: DualEncoderModel,
@@ -736,28 +723,26 @@ def train(
     """SGD with deterministic batch order; mutates ``model`` in place.
 
     Each epoch shuffles the examples with the config seed's generator and
-    slices consecutive batches (the last one may be short). ``resampler``,
-    if given, is called with the epoch number and must return that epoch's
-    training examples; by default the set is fixed once. Each set is
+    slices consecutive batches (the last one may be short). Epoch 0 trains
+    on ``examples``. ``resampler``, if given, is called with the epoch
+    number for epochs 1, 2, ... and must return that epoch's training
+    examples; without it every epoch reuses ``examples``. Each set is
     turned into token-index rows once, and batches slice those rows.
 
-    Raises DivergenceError when the loss goes non-finite.
+    Raises DataError for an empty set and DivergenceError when the loss
+    goes non-finite.
     """
-    if resampler is None and not examples:
-        raise DataError("training set must be non-empty")
     rng = np.random.default_rng(config.seed)
     tensors = model.trainable_tensors()
     trace: list[tuple[int, float]] = []
     iteration = 0
     epoch = 0
-    indexed = None
     while iteration < config.max_iterations:
-        if resampler is not None:
-            examples = resampler(epoch)
+        if epoch == 0 or resampler is not None:
+            if epoch:
+                examples = resampler(epoch)
             if not examples:
-                raise DataError(f"resampler returned no examples for epoch {epoch}")
-            indexed = None
-        if indexed is None:
+                raise DataError(f"training set for epoch {epoch} is empty")
             indexed = _IndexedExamples(model.embeddings, examples)
         order = rng.permutation(len(examples))
         for start in range(0, len(order), config.batch_size):
@@ -863,8 +848,10 @@ def _model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Dual
     )
 
 
-def load_checkpoint(path) -> DualEncoderModel:
+def load_checkpoint(path, sha256: str | None = None) -> DualEncoderModel:
+    """The model saved at ``path``; DataError if it is malformed or, when
+    ``sha256`` is given, if the file's SHA-256 differs from it."""
     return read_container(
         path, _CKPT_MAGIC, "checkpoint", lambda header: header["tensors"],
-        _model_from_checkpoint,
+        _model_from_checkpoint, sha256,
     )

@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import ContextResponsePair, read_text_lines
 from .distribution import ResponseDistribution, TransformSpec, transform
 from .encoder import DualEncoderModel, encode, encode_batch, sigmoid, truncate_context, truncate_response
-from .errors import CandidatePoolError, DataError
+from .errors import CandidatePoolError, DataError, NumericError
 from .retrieval import HistoryIndex
 from .seeding import derive_rng
 
@@ -57,9 +57,6 @@ class EvalReport:
     alternative_transform: str
     seed: int
     ranks: tuple[int, ...] | None = None
-
-    def recall(self, k: int) -> float:
-        return self.recalls[k]
 
 
 class _CachedEncoder:
@@ -151,6 +148,20 @@ def resolve_scorer(scorer):
     raise DataError(f"cannot interpret {type(scorer).__name__} as a scorer")
 
 
+def _scores(scorer, context_tokens, candidates: Sequence[str]) -> np.ndarray:
+    """A resolved scorer's scores, checked to be one finite float per candidate.
+
+    NaN compares false with everything, so an unchecked NaN score would
+    rank every true response first.
+    """
+    scores = np.asarray(scorer.score_candidates(context_tokens, candidates), dtype=np.float64)
+    if scores.shape != (len(candidates),):
+        raise DataError("scorer returned wrong number of scores")
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("scorer returned non-finite scores")
+    return scores
+
+
 def _draw_distinct_alternatives(
     dist: ResponseDistribution, true_response: str, m: int, rng: np.random.Generator
 ) -> list[str]:
@@ -195,12 +206,7 @@ def evaluate(
             alt_dist, pair.response_text, cfg.num_alternatives, rng
         )
         candidates = [pair.response_text] + alternatives
-        scores = np.asarray(
-            resolved.score_candidates(pair.context_tokens, candidates),
-            dtype=np.float64,
-        )
-        if scores.shape != (len(candidates),):
-            raise DataError("scorer returned wrong number of scores")
+        scores = _scores(resolved, pair.context_tokens, candidates)
         ranks.append(1 + int(np.sum(scores[1:] >= scores[0])))
     rank_array = np.array(ranks)
     recalls = {k: float(np.mean(rank_array <= k)) for k in cfg.ks}
@@ -283,11 +289,8 @@ def cross_distribution_grid(
     return GridResult(tuple(alt_transforms), tuple(scorers), cells)
 
 
-def format_grid_table(grid: GridResult, ks: Sequence[int] | None = None) -> str:
+def format_grid_table(grid: GridResult, ks: Sequence[int]) -> str:
     """Aligned text table: one row per (alternatives, trained-with) cell."""
-    if ks is None:
-        first = next(iter(grid.cells.values()))
-        ks = sorted(first.recalls)
     header = ["test_alternatives", "train_negatives"] + [f"recall@{k}" for k in ks]
     rows = [header]
     for alt_name in grid.alt_names:
@@ -376,9 +379,7 @@ def export_annotation(
     rows: list[AnnotationRow] = []
     for name, scorer in resolved.items():
         for question_id, context_tokens in questions:
-            scores = np.asarray(
-                scorer.score_candidates(context_tokens, pool), dtype=np.float64
-            )
+            scores = _scores(scorer, context_tokens, pool)
             top = np.argsort(-scores, kind="stable")[:n_responses]
             for rank, i in enumerate(top, start=1):
                 rows.append(AnnotationRow(str(question_id), rank, pool[i], "", name))

@@ -62,6 +62,8 @@ class HistoryIndex:
             raise DataError("pair ids must be unique")
         if np.any(np.diff(self.pair_ids) <= 0):
             raise DataError("rows must be sorted by ascending pair id")
+        if not np.all(np.isfinite(self.vectors)):
+            raise DataError("stored vectors must be finite")
         norms = np.linalg.norm(self.vectors, axis=1)
         if self.vectors.size and np.max(np.abs(norms - 1.0)) > 1e-9:
             raise DataError("stored vectors must have unit norm")

@@ -14,7 +14,7 @@ from a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -200,15 +200,23 @@ def make_epoch_resampler(
 ) -> Callable[[int], list[TrainingExample]]:
     """Per-epoch training-set re-sampler for ``dialret.encoder.train``.
 
-    Epoch ``e`` gets its own generator substream, so a run is still fully
-    determined by the master seed. Off by default everywhere; negatives
+    ``resample(e)`` equals ``build_training_set(pairs, dist, strategy,
+    derive_rng(master_seed, "resample-epoch", e), embeddings)``: epoch
+    ``e`` gets its own generator substream, so a run is still fully
+    determined by the master seed. The distribution is transformed once,
+    here, and every epoch draws from that one transformed distribution
+    and its cached alias table; the transform keeps the raw counts that
+    the inverse-count filter reads. Off by default everywhere; negatives
     are normally fixed once per built training set.
     """
     from .seeding import derive_rng
 
+    sample_dist = transform(dist, strategy.transform, embeddings)
+    epoch_strategy = replace(strategy, transform=TransformSpec.identity())
+
     def resample(epoch: int) -> list[TrainingExample]:
         rng = derive_rng(master_seed, "resample-epoch", epoch)
-        return build_training_set(pairs, dist, strategy, rng, embeddings)
+        return build_training_set(pairs, sample_dist, epoch_strategy, rng)
 
     return resample
 

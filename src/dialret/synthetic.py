@@ -33,8 +33,6 @@ def make_synthetic_corpus(
     vocab_size: int,
     zipf_exponent: float,
     seed: int,
-    min_rounds: int = 1,
-    max_rounds: int = 3,
 ) -> list[Dialogue]:
     """Generate user/operator dialogues with Zipf-skewed topics.
 
@@ -56,14 +54,12 @@ def make_synthetic_corpus(
             f"vocab_size {vocab_size} too small for {distinct_responses} topics; "
             f"need at least {2 * distinct_responses + 5}"
         )
-    if not 1 <= min_rounds <= max_rounds:
-        raise DataError("need 1 <= min_rounds <= max_rounds")
     rng = np.random.default_rng(seed)
     weights = zipf_weights(distinct_responses, zipf_exponent)
     responses = [f"fact{t} ok" for t in range(distinct_responses)]
     dialogues = []
     for d in range(num_dialogues):
-        rounds = int(rng.integers(min_rounds, max_rounds + 1))
+        rounds = int(rng.integers(1, 4))
         topics = rng.choice(distinct_responses, size=rounds, p=weights)
         turns = []
         for topic in topics:
@@ -97,9 +93,7 @@ def make_separable_corpus(num_pairs: int, seed: int = 0) -> list[Dialogue]:
     return dialogues
 
 
-def corpus_vocabulary(
-    dialogues: Sequence[Dialogue], extra_tokens: Sequence[str] = (), pad_to: int = 0
-) -> list[str]:
+def corpus_vocabulary(dialogues: Sequence[Dialogue], pad_to: int = 0) -> list[str]:
     """Sorted token vocabulary of a corpus, including the turn separator.
 
     ``pad_to`` appends unused spare tokens up to the requested size, for
@@ -111,7 +105,6 @@ def corpus_vocabulary(
     for d in dialogues:
         for turn in d.turns:
             tokens.update(tokenize(turn.text))
-    tokens.update(extra_tokens)
     ordered = sorted(tokens)
     spare = 0
     while len(ordered) < pad_to:

@@ -76,13 +76,13 @@ def test_criterion_01_transform_correctness():
     for _ in range(100):
         n = int(rng.integers(2, 25))
         probs = rng.dirichlet(np.ones(n) * rng.uniform(0.2, 3.0))
-        dist = ResponseDistribution.from_probs([f"r{i}" for i in range(n)], probs)
+        dist = ResponseDistribution([f"r{i}" for i in range(n)], probs)
         zero = transform(dist, TransformSpec.power(0.0)).probs
         one = transform(dist, TransformSpec.power(1.0)).probs
         worst_zero = max(worst_zero, float(np.max(np.abs(zero - 1.0 / n))))
         worst_one = max(worst_one, float(np.max(np.abs(one - dist.probs))))
     frozen = transform(
-        ResponseDistribution.from_probs(["a", "b", "c"], [0.5, 0.25, 0.25]),
+        ResponseDistribution(["a", "b", "c"], [0.5, 0.25, 0.25]),
         TransformSpec.power(-0.25),
     ).probs
     frozen_err = float(np.max(np.abs(frozen - [0.29600, 0.35200, 0.35200])))
@@ -101,7 +101,7 @@ def test_criterion_01_transform_correctness():
 def test_criterion_02_sampler_fidelity():
     rng = np.random.default_rng(202)
     base = rng.dirichlet(np.ones(40) * 0.4)
-    dist = ResponseDistribution.from_probs([f"r{i}" for i in range(40)], base)
+    dist = ResponseDistribution([f"r{i}" for i in range(40)], base)
     draws_per_target = 100_000
     pvalues = {}
     for spec in (
@@ -119,7 +119,7 @@ def test_criterion_02_sampler_fidelity():
         ).pvalue
     # Exclusion: a skewed distribution where the excluded response holds
     # most of the mass, one million draws, zero leaks allowed.
-    skewed = ResponseDistribution.from_probs(
+    skewed = ResponseDistribution(
         ["true resp"] + [f"r{i}" for i in range(9)], [0.55] + [0.05] * 9
     )
     leak = 0
@@ -214,7 +214,7 @@ def run_training_sanity():
         learning_rate=1.0, batch_size=32, max_iterations=2000,
         seed=derive_seed(TRAIN_SANITY_SEED, "train"), eval_every=500,
     )
-    result = train(model, [], config, resampler=resampler)
+    result = train(model, resampler(0), config, resampler=resampler)
     return model, pairs, dist, result
 
 
@@ -247,7 +247,7 @@ def test_criterion_06_evaluation_calibration():
         ContextResponsePair(i, ("x",), f"r{i % pool}", (f"r{i % pool}",), "d", 1)
         for i in range(10_000)
     ]
-    dist = ResponseDistribution.from_probs(
+    dist = ResponseDistribution(
         [f"r{i}" for i in range(pool)], [1.0 / pool] * pool
     )
     rng = np.random.default_rng(606)

@@ -10,7 +10,9 @@ from dialret.cli import main
 from dialret.config import ExperimentConfig, load_config, parse_config
 from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
 from dialret.distribution import TransformSpec, count_responses
+from dialret.encoder import load_checkpoint, save_checkpoint
 from dialret.errors import ConfigError
+from dialret.retrieval import load_index, save_index
 from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
 from dialret.seeding import derive_seed
 
@@ -255,7 +257,6 @@ class TestSubcommands:
         config = write_config(
             tmp_path / "config.json", corpus, sampling={"resample_each_epoch": True}
         )
-        assert main(["train", "--config", str(config)]) == 0
         cfg = load_config(config)
         parsed = parse_dialogues(corpus.read_text(encoding="utf-8").splitlines())
         train_dialogues, _, _ = split_corpus(
@@ -272,7 +273,10 @@ class TestSubcommands:
         expected = tmp_path / "epoch0.jsonl"
         write_training_set(expected, resample(0))
         written = tmp_path / "out" / "trainset_identity.jsonl"
-        assert written.read_bytes() == expected.read_bytes()
+        for command in ("train", "build-trainset"):
+            written.unlink(missing_ok=True)
+            assert main([command, "--config", str(config)]) == 0
+            assert written.read_bytes() == expected.read_bytes(), command
 
     def test_retrieve_prints_ranked(self, workspace, capsys):
         index = workspace / "out" / "history_identity.idx"
@@ -293,6 +297,37 @@ class TestSubcommands:
             "--query", "ask1", "--checkpoint", str(other),
         ])
         assert code == 4
+
+    def test_retrieve_reads_the_checkpoint_once(self, workspace, monkeypatch, capsys):
+        ckpt = workspace / "out" / "model_identity.ckpt"
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(file) == ckpt:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main([
+            "retrieve", "--index", str(workspace / "out" / "history_identity.idx"),
+            "--query", "ask1",
+        ]) == 0
+        assert len(opened) == 1
+
+    def test_non_finite_artifact_exit_4(self, workspace, tmp_path, capsys):
+        model = load_checkpoint(workspace / "out" / "model_identity.ckpt")
+        model.bilinear[0, 0] = np.nan
+        save_checkpoint(model, tmp_path / "nan.ckpt")
+        config = workspace / "config.json"
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(tmp_path / "nan.ckpt")]) == 4
+        assert "'bilinear' holds non-finite" in capsys.readouterr().err
+        index = load_index(workspace / "out" / "history_identity.idx")
+        index.vectors[3] = np.nan
+        save_index(index, tmp_path / "nan.idx")
+        assert main(["retrieve", "--index", str(tmp_path / "nan.idx"), "--query", "ask1"]) == 4
+        assert "'vectors' holds non-finite" in capsys.readouterr().err
 
     def test_eval_with_checkpoint_and_index(self, workspace, capsys):
         config = workspace / "config.json"

@@ -23,7 +23,7 @@ from dialret.synthetic import make_synthetic_corpus
 def dist_from(probs, responses=None, counts=None):
     if responses is None:
         responses = [f"r{i}" for i in range(len(probs))]
-    return ResponseDistribution.from_probs(responses, probs, counts)
+    return ResponseDistribution(responses, probs, counts)
 
 
 def random_distribution(rng, n):

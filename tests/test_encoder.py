@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -11,7 +12,8 @@ from dialret.encoder import (
     EmbeddingTable,
     GruParams,
     TrainConfig,
-    attention_weights,
+    _forward,
+    _pad_batch,
     encode,
     encode_batch,
     load_checkpoint,
@@ -161,7 +163,9 @@ class TestEncode:
         rng = np.random.default_rng(5)
         for _ in range(20):
             tokens = [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 9)))]
-            w = attention_weights(params, emb, tokens)
+            idx, mask = _pad_batch(emb, [tokens])
+            _, (_, weights) = _forward(params, emb.matrix[idx], mask)
+            w = weights[0]
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
@@ -381,6 +385,28 @@ class TestTrain:
         if isinstance(exc.value, DivergenceError):
             assert exc.value.iteration >= 1
 
+    def test_resampler_supplies_only_later_epochs(self):
+        model, examples = self.make_model_and_data(seed=8)
+        calls = []
+
+        def resampler(epoch):
+            calls.append(epoch)
+            return examples[::-1]
+
+        # 24 examples in batches of 8: 9 iterations are exactly 3 epochs.
+        train(model, examples, TrainConfig(learning_rate=0.1, batch_size=8,
+                                           max_iterations=9, seed=1, eval_every=3),
+              resampler=resampler)
+        assert calls == [1, 2]
+
+    def test_empty_set_rejected_in_any_epoch(self):
+        model, examples = self.make_model_and_data(seed=8)
+        config = TrainConfig(batch_size=8, max_iterations=9, seed=1)
+        with pytest.raises(DataError, match="epoch 0"):
+            train(model, [], config)
+        with pytest.raises(DataError, match="epoch 1"):
+            train(model, examples, config, resampler=lambda epoch: [])
+
     def test_loss_trace_iterations(self):
         model, examples = self.make_model_and_data(seed=6)
         result = train(model, examples, TrainConfig(learning_rate=0.2, batch_size=8,
@@ -493,6 +519,27 @@ class TestCheckpoint:
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_sha256_checked_on_the_bytes_read(self, tmp_path):
+        emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DualEncoderModel.create(emb, variant="gru", hidden=5, seed=2), path)
+        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        load_checkpoint(path, actual)
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(path, "0" * 64)
+        message = str(exc.value)
+        assert str(path) in message and actual[:12] in message and "0" * 12 in message
+
+    @pytest.mark.parametrize("tensor, value", [("bilinear", np.nan), ("embeddings", np.inf)])
+    def test_non_finite_tensor_rejected(self, tmp_path, tensor, value):
+        emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
+        model = DualEncoderModel.create(emb, variant="gru", hidden=5, seed=2)
+        (model.bilinear if tensor == "bilinear" else model.embeddings.matrix)[0, 0] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match=f"'{tensor}.*non-finite"):
             load_checkpoint(path)
 
     def test_loaded_model_is_trainable(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dialret.corpus import ContextResponsePair
 from dialret.distribution import ResponseDistribution, TransformSpec, count_responses
 from dialret.encoder import DualEncoderModel, random_embeddings, score_pair
-from dialret.errors import CandidatePoolError, DataError
+from dialret.errors import CandidatePoolError, DataError, NumericError
 from dialret.evaluation import (
     AnnotationRecord,
     DualEncoderScorer,
@@ -39,7 +39,7 @@ def pair(pid, ctx, response):
 
 
 def uniform_dist(n):
-    return ResponseDistribution.from_probs(
+    return ResponseDistribution(
         [f"resp {i}" for i in range(n)], [1.0 / n] * n, [1] * n
     )
 
@@ -127,6 +127,15 @@ class TestEvaluate:
         with pytest.raises(CandidatePoolError):
             evaluate(OracleScorer(), make_test_pairs(5, n_responses=9), uniform_dist(9),
                      EvalConfig(seed=9))
+
+    def test_non_finite_scores_rejected(self):
+        nan_scorer = lambda ctx, cands: np.full(len(cands), np.nan)
+        with pytest.raises(NumericError):
+            evaluate(nan_scorer, make_test_pairs(5), uniform_dist(15), EvalConfig(seed=0))
+        with pytest.raises(NumericError):
+            export_annotation(nan_scorer, [("q", ["ctx"])], [f"resp {i}" for i in range(5)])
+        with pytest.raises(DataError):
+            export_annotation(lambda ctx, cands: [0.0], [("q", ["ctx"])], ["a", "b", "c"])
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(DataError):
@@ -221,7 +230,7 @@ class TestGrid:
             "identity": TransformSpec.identity(),
             "uniform": TransformSpec.uniform(),
         }
-        skewed = ResponseDistribution.from_probs(
+        skewed = ResponseDistribution(
             [f"resp {i}" for i in range(15)],
             np.arange(1, 16) / np.arange(1, 16).sum(),
         )

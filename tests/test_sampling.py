@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dialret import distribution
 from dialret.corpus import extract_all_pairs
 from dialret.distribution import (
     ResponseDistribution,
@@ -9,6 +10,7 @@ from dialret.distribution import (
     count_responses,
     transform,
 )
+from dialret.encoder import random_embeddings
 from dialret.errors import DataError
 from dialret.sampling import (
     AliasSampler,
@@ -21,13 +23,13 @@ from dialret.sampling import (
     write_training_set,
 )
 from dialret.seeding import derive_rng
-from dialret.synthetic import make_synthetic_corpus
+from dialret.synthetic import corpus_vocabulary, make_synthetic_corpus
 
 
 def dist_from(probs, responses=None, counts=None):
     if responses is None:
         responses = [f"r{i}" for i in range(len(probs))]
-    return ResponseDistribution.from_probs(responses, probs, counts)
+    return ResponseDistribution(responses, probs, counts)
 
 
 def cumulative_search_draws(probs, rng, size):
@@ -215,6 +217,37 @@ class TestBuildTrainingSet:
         resample = make_epoch_resampler(pairs, dist, SamplingStrategy(), 77)
         assert resample(0) == resample(0)
         assert resample(0) != resample(1)
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("label", ["identity", "uniform", "power:-0.5", "kde:0.4"])
+    def test_epoch_resampler_equals_build_training_set(self, label, filtered):
+        dialogues = make_synthetic_corpus(200, 25, 80, 1.0, seed=3)
+        pairs = extract_all_pairs(dialogues)
+        dist = count_responses(pairs)
+        emb = random_embeddings(corpus_vocabulary(dialogues), 8, 1.0, seed=4)
+        strategy = SamplingStrategy(
+            transform=TransformSpec.parse(label), neg_per_pos=3,
+            filter_by_inverse_count=filtered,
+        )
+        resample = make_epoch_resampler(pairs, dist, strategy, 55, emb)
+        for epoch in range(3):
+            rng = derive_rng(55, "resample-epoch", epoch)
+            assert resample(epoch) == build_training_set(pairs, dist, strategy, rng, emb)
+
+    def test_epoch_resampler_transforms_once(self, monkeypatch):
+        calls = []
+        kde_weights = distribution._kde_weights
+        monkeypatch.setattr(
+            distribution, "_kde_weights", lambda *a: calls.append(1) or kde_weights(*a)
+        )
+        dialogues = make_synthetic_corpus(100, 15, 50, 1.0, seed=3)
+        pairs = extract_all_pairs(dialogues)
+        emb = random_embeddings(corpus_vocabulary(dialogues), 8, 1.0, seed=4)
+        strategy = SamplingStrategy(transform=TransformSpec.kde_smoothed(0.4))
+        resample = make_epoch_resampler(pairs, count_responses(pairs), strategy, 9, emb)
+        for epoch in range(3):
+            resample(epoch)
+        assert len(calls) == 1
 
 
 class TestTrainingExampleIO:
