@@ -25,7 +25,7 @@ from .corpus import ContextResponsePair, read_text_lines
 from .distribution import ResponseDistribution, TransformSpec, transform
 from .encoder import DualEncoderModel, encode, encode_batch, sigmoid, truncate_context, truncate_response
 from .errors import CandidatePoolError, DataError, NumericError
-from .retrieval import HistoryIndex
+from .retrieval import HistoryIndex, _top_k_rows
 from .seeding import derive_rng
 
 
@@ -124,7 +124,8 @@ class HistoryIndexScorer(_CachedEncoder):
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         np.maximum(norms, 1e-300, out=norms)
         vectors = vectors / norms
-        return (self.index.vectors @ vectors.T).max(axis=0)
+        # One row per candidate, so each max runs along a contiguous row.
+        return (vectors @ self.index.vectors.T).max(axis=1)
 
 
 class _CallableScorer:
@@ -361,8 +362,9 @@ def export_annotation(
 
     ``scorers`` is a single scorer or a name -> scorer mapping; the model
     name is kept on each row for the sidecar key file but must not be
-    written into the assessor-facing table. The shuffle hides which model
-    produced which row and is deterministic under ``seed``.
+    written into the assessor-facing table. Tied scores keep pool order.
+    The shuffle hides which model produced which row and is deterministic
+    under ``seed``.
     """
     if not questions:
         raise DataError("questions must be non-empty")
@@ -380,8 +382,7 @@ def export_annotation(
     for name, scorer in resolved.items():
         for question_id, context_tokens in questions:
             scores = _scores(scorer, context_tokens, pool)
-            top = np.argsort(-scores, kind="stable")[:n_responses]
-            for rank, i in enumerate(top, start=1):
+            for rank, i in enumerate(_top_k_rows(scores, n_responses), start=1):
                 rows.append(AnnotationRow(str(question_id), rank, pool[i], "", name))
     rng = derive_rng(seed, "annotation-shuffle")
     order = rng.permutation(len(rows))

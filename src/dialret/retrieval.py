@@ -58,10 +58,8 @@ class HistoryIndex:
             raise DataError("one vector row per pair id required")
         if len(self.responses) != len(self.pair_ids):
             raise DataError("one response per pair id required")
-        if len(np.unique(self.pair_ids)) != len(self.pair_ids):
-            raise DataError("pair ids must be unique")
         if np.any(np.diff(self.pair_ids) <= 0):
-            raise DataError("rows must be sorted by ascending pair id")
+            raise DataError("pair ids must be unique and rows sorted by ascending pair id")
         if not np.all(np.isfinite(self.vectors)):
             raise DataError("stored vectors must be finite")
         norms = np.linalg.norm(self.vectors, axis=1)
@@ -128,10 +126,30 @@ def _normalize_query(vector: np.ndarray) -> np.ndarray:
     return vector / norm if norm > _NORM_EPS else vector
 
 
+def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` highest scores, ties to the lower position.
+
+    Equal to ``np.argsort(-scores, kind="stable")[:k]`` without sorting
+    every score: partition to the k-th largest score, keep every row
+    scoring at least that much, and sort only those by (-score,
+    position). Scores must be free of NaN.
+    """
+    n = len(scores)
+    k = min(k, n)
+    kth = np.partition(scores, n - k)[n - k]
+    rows = np.flatnonzero(scores >= kth)
+    return rows[np.lexsort((rows, -scores[rows]))][:k]
+
+
 def query_nearest(
     index: HistoryIndex, context_tokens: Sequence[str], top_k: int
 ) -> list[QueryHit]:
-    """Top-k rows by cosine, ties broken by ascending pair id."""
+    """Top-k rows by cosine, ties broken by ascending pair id.
+
+    An exact scan: every stored row is scored against the normalized
+    query, and the top k are picked by partition rather than a full sort.
+    ``top_k`` above the index size returns every row.
+    """
     if top_k < 1:
         raise DataError("top_k must be at least 1")
     if len(index) == 0:
@@ -141,16 +159,17 @@ def query_nearest(
         model.context_encoder, model.embeddings, truncate_context(context_tokens)
     )
     query = _normalize_query(query)
-    # Row-wise reduction, not a BLAS matvec: blocked matvec kernels can
-    # produce different roundings for bitwise-identical rows, which would
-    # break the exact tie rule below.
-    scores = (index.vectors * query).sum(axis=1)
-    # Rows are stored in ascending pair-id order, so a stable sort on the
-    # negated scores realizes the tie rule exactly.
-    order = np.argsort(-scores, kind="stable")[:top_k]
+    # einsum without optimize is numpy's own loop, one dot product per
+    # row, not a BLAS matvec: every row is reduced by the same code over
+    # the same number of elements, so bitwise-identical rows get
+    # bitwise-identical scores, which the exact tie rule needs. Blocked
+    # BLAS kernels can round identical rows differently.
+    scores = np.einsum("ij,j->i", index.vectors, query)
+    # Rows are stored in ascending pair-id order, so the row position is
+    # the tie key.
     return [
         QueryHit(int(index.pair_ids[i]), index.responses[i], float(scores[i]))
-        for i in order
+        for i in _top_k_rows(scores, top_k)
     ]
 
 

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from dialret.corpus import ContextResponsePair
 from dialret.distribution import ResponseDistribution, TransformSpec, count_responses
-from dialret.encoder import DualEncoderModel, random_embeddings, score_pair
+from dialret.encoder import (
+    DualEncoderModel,
+    encode,
+    encode_batch,
+    random_embeddings,
+    score_pair,
+    truncate_context,
+    truncate_response,
+)
 from dialret.errors import CandidatePoolError, DataError, NumericError
 from dialret.evaluation import (
     AnnotationRecord,
@@ -197,6 +205,29 @@ class TestModelScorers:
         assert scores[0] == pytest.approx(1.0, abs=1e-9)
         assert scores[0] >= scores[1] and scores[0] >= scores[2]
 
+    def test_history_scorer_matches_index_major_product(self):
+        model = self.make_model(seed=5)
+        pairs = make_test_pairs(60)
+        index = build_history_index(model, pairs)
+        scorer = HistoryIndexScorer(index)
+        for p in pairs[:10]:
+            candidates = [f"resp {i}" for i in range(11)]
+            scores = scorer.score_candidates(p.context_tokens, candidates)
+            ctx = encode(
+                model.context_encoder, model.embeddings, truncate_context(p.context_tokens)
+            )
+            responses = encode_batch(
+                model.response_encoder, model.embeddings,
+                [truncate_response(c.split(" ")) for c in candidates],
+            )
+            vectors = ctx + index.response_weight * responses
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+            reference = (index.vectors @ vectors.T).max(axis=0)
+            assert np.max(np.abs(scores - reference)) <= 1e-12
+            assert list(np.argsort(-scores, kind="stable")) == list(
+                np.argsort(-reference, kind="stable")
+            )
+
     def test_history_index_evaluate_held_in(self):
         model = self.make_model(seed=4)
         pairs = make_test_pairs(40)
@@ -316,6 +347,19 @@ class TestExportAnnotation:
         write_annotation_file(anno, rows)
         with pytest.raises(DataError):
             read_marked_annotation(anno)
+
+    def test_tied_scores_keep_pool_order(self):
+        pool = self.pool(40)
+        scores = np.array([(i // 3) % 4 for i in range(len(pool))], dtype=float)
+        questions = self.questions(3)
+        for n in (1, 3, 7, 40):
+            rows = export_annotation(
+                lambda ctx, cands: scores, questions, pool, n_responses=n, seed=9
+            )
+            reference = [pool[i] for i in np.argsort(-scores, kind="stable")[:n]]
+            for question_id, _ in questions:
+                ranked = sorted((r.rank, r.response) for r in rows if r.question_id == question_id)
+                assert [response for _, response in ranked] == reference
 
     def test_pool_too_small(self):
         with pytest.raises(CandidatePoolError):

@@ -6,6 +6,7 @@ from dialret.encoder import (
     AttentionParams,
     DualEncoderModel,
     EmbeddingTable,
+    encode,
     random_embeddings,
 )
 from dialret.errors import DataError
@@ -180,6 +181,58 @@ class TestQueryNearest:
         index = build_history_index(model, [pair(0, ["t0"], ["t1"])])
         with pytest.raises(DataError):
             query_nearest(index, ["t0"], top_k=0)
+        empty = HistoryIndex(0.4, [], np.zeros((0, 8)), [], model=model)
+        with pytest.raises(DataError, match="index is empty"):
+            query_nearest(empty, ["t0"], top_k=1)
+
+    def unit_rows(self, rows, dim, seed):
+        vectors = np.random.default_rng(seed).standard_normal((rows, dim))
+        return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+    def index_of(self, vectors, model):
+        rows = len(vectors)
+        pair_ids = 3 * np.arange(rows) + 1
+        return HistoryIndex(0.4, pair_ids, vectors, [f"r{i}" for i in range(rows)], model=model)
+
+    @pytest.mark.parametrize("dim", [16, 17, 33])
+    def test_duplicated_rows_tie_exactly(self, dim):
+        # The copies include every row holding an element at a multiple
+        # of 8192 in the row-major matrix, so a scan that split rows at
+        # numpy's 8192-element buffer boundaries would round those rows
+        # differently from the copies elsewhere.
+        model = attention_model(vocab_size=20, dim=dim, seed=17)
+        query = encode(model.context_encoder, model.embeddings, ["t5"])
+        vectors = self.unit_rows(1500, dim, seed=17)
+        straddling = [8192 * m // dim for m in range(1, 1500 * dim // 8192 + 1)]
+        spread = np.random.default_rng(18).choice(1500, size=60, replace=False)
+        twins = np.union1d(spread, straddling)
+        # Copies of the query direction are the top hits.
+        vectors[twins] = query / np.linalg.norm(query)
+        index = self.index_of(vectors, model)
+        hits = query_nearest(index, ["t5"], top_k=len(twins))
+        assert [h.pair_id for h in hits] == list(index.pair_ids[twins])
+        assert len({h.score for h in hits}) == 1
+
+    @pytest.mark.parametrize("dim", [16, 17, 33])
+    def test_hit_order_matches_stable_argsort(self, dim):
+        model = attention_model(vocab_size=20, dim=dim, seed=19)
+        # Seven distinct rows repeated in a shuffled pattern give many ties
+        # at every rank, including at the k-th score.
+        picks = np.random.default_rng(20).integers(0, 7, size=1500)
+        index = self.index_of(self.unit_rows(7, dim, seed=19)[picks], model)
+        n = len(index)
+        for token in ("t1", "t2", "t3"):
+            query = encode(model.context_encoder, model.embeddings, [token])
+            query = query / np.linalg.norm(query)
+            scores = np.einsum("ij,j->i", index.vectors, query)
+            old_scores = (index.vectors * query).sum(axis=1)
+            assert np.max(np.abs(scores - old_scores)) <= 1e-12
+            for top_k in (1, 5, n, n + 3):
+                reference = np.argsort(-scores, kind="stable")[:top_k]
+                hits = query_nearest(index, [token], top_k=top_k)
+                assert len(hits) == min(top_k, n)
+                assert [h.pair_id for h in hits] == list(index.pair_ids[reference])
+                assert [h.score for h in hits] == list(scores[reference])
 
 
 class TestIndexPersistence:
