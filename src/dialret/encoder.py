@@ -39,6 +39,11 @@ backward pass collects the gradients of the three pre-activations of
 every step in one array and forms dW, dU, db and the input gradient from
 it with a few matmuls after the loop.
 
+Training cuts each sequence to ``MAX_SEQUENCE_TOKENS`` when it indexes an
+example set. Everything else encodes through three methods of
+:class:`DualEncoderModel` that make the same cut: ``encode_context`` (one
+context), ``encode_contexts`` and ``encode_responses`` (batches).
+
 Training indexes each example set once: contexts and responses become
 OOV-padded token-index matrices with a length per row, and each batch is
 a slice of them, trimmed to its longest sequence. Inference
@@ -86,15 +91,11 @@ def _sigmoid_inplace(a: np.ndarray) -> np.ndarray:
 
 
 def truncate_context(tokens: Sequence[str]) -> Sequence[str]:
-    if len(tokens) > MAX_SEQUENCE_TOKENS:
-        return tokens[-MAX_SEQUENCE_TOKENS:]
-    return tokens
+    return tokens[-MAX_SEQUENCE_TOKENS:]
 
 
 def truncate_response(tokens: Sequence[str]) -> Sequence[str]:
-    if len(tokens) > MAX_SEQUENCE_TOKENS:
-        return tokens[:MAX_SEQUENCE_TOKENS]
-    return tokens
+    return tokens[:MAX_SEQUENCE_TOKENS]
 
 
 class EmbeddingTable:
@@ -407,6 +408,20 @@ class DualEncoderModel:
         tensors.update(self._encoder_tensor_map())
         return tensors
 
+    # The only way from tokens to vectors outside training. Each method cuts
+    # its side's sequences to MAX_SEQUENCE_TOKENS; batch rows align with seqs.
+
+    def encode_context(self, tokens: Sequence[str]) -> np.ndarray:
+        return encode(self.context_encoder, self.embeddings, truncate_context(tokens))
+
+    def encode_contexts(self, seqs: Sequence[Sequence[str]]) -> np.ndarray:
+        cut = [truncate_context(s) for s in seqs]
+        return encode_batch(self.context_encoder, self.embeddings, cut)
+
+    def encode_responses(self, seqs: Sequence[Sequence[str]]) -> np.ndarray:
+        cut = [truncate_response(s) for s in seqs]
+        return encode_batch(self.response_encoder, self.embeddings, cut)
+
 
 def _check_finite(model: DualEncoderModel) -> None:
     for name, tensor in model.trainable_tensors().items():
@@ -588,10 +603,8 @@ def score_pair(
     response_tokens: Sequence[str],
 ) -> float:
     """Pairwise probability sigmoid(enc(context)^T B enc(response))."""
-    c = encode(model.context_encoder, model.embeddings, truncate_context(context_tokens))
-    r = encode(
-        model.response_encoder, model.embeddings, truncate_response(response_tokens)
-    )
+    c = model.encode_context(context_tokens)
+    r = model.encode_responses([response_tokens])[0]
     return float(sigmoid(c @ model.bilinear @ r))
 
 

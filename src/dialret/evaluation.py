@@ -16,16 +16,16 @@ config see identical candidate lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import ContextResponsePair, read_text_lines
 from .distribution import ResponseDistribution, TransformSpec, transform
-from .encoder import DualEncoderModel, encode, encode_batch, sigmoid, truncate_context, truncate_response
+from .encoder import DualEncoderModel, sigmoid
 from .errors import CandidatePoolError, DataError, NumericError
-from .retrieval import HistoryIndex, _top_k_rows
+from .retrieval import HistoryIndex, _top_k_rows, history_rows
 from .seeding import derive_rng
 
 
@@ -60,7 +60,7 @@ class EvalReport:
 
 
 class _CachedEncoder:
-    """Encodes contexts and candidate responses with one model.
+    """A scorer's model and its cache of candidate-response encodings.
 
     Response encodings are cached by canonical string, one cache per
     scorer; the model must not be mutated while the scorer is alive.
@@ -73,21 +73,9 @@ class _CachedEncoder:
     def _response_vectors(self, candidates: Sequence[str]) -> np.ndarray:
         missing = [c for c in candidates if c not in self._cache]
         if missing:
-            encoded = encode_batch(
-                self.model.response_encoder,
-                self.model.embeddings,
-                [truncate_response(c.split(" ")) for c in missing],
-            )
-            for text, vec in zip(missing, encoded):
-                self._cache[text] = vec
+            encoded = self.model.encode_responses([c.split(" ") for c in missing])
+            self._cache.update(zip(missing, encoded))
         return np.stack([self._cache[c] for c in candidates])
-
-    def _context_vector(self, context_tokens: Sequence[str]) -> np.ndarray:
-        return encode(
-            self.model.context_encoder,
-            self.model.embeddings,
-            truncate_context(context_tokens),
-        )
 
 
 class DualEncoderScorer(_CachedEncoder):
@@ -96,7 +84,7 @@ class DualEncoderScorer(_CachedEncoder):
     def score_candidates(
         self, context_tokens: Sequence[str], candidates: Sequence[str]
     ) -> np.ndarray:
-        c = self._context_vector(context_tokens)
+        c = self.model.encode_context(context_tokens)
         responses = self._response_vectors(candidates)
         return sigmoid(responses @ (self.model.bilinear.T @ c))
 
@@ -117,13 +105,11 @@ class HistoryIndexScorer(_CachedEncoder):
     def score_candidates(
         self, context_tokens: Sequence[str], candidates: Sequence[str]
     ) -> np.ndarray:
-        ctx = self._context_vector(context_tokens)
-        vectors = ctx[None, :] + self.index.response_weight * self._response_vectors(
-            candidates
+        vectors, _ = history_rows(
+            self.model.encode_context(context_tokens)[None, :],
+            self._response_vectors(candidates),
+            self.index.response_weight,
         )
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        np.maximum(norms, 1e-300, out=norms)
-        vectors = vectors / norms
         # One row per candidate, so each max runs along a contiguous row.
         return (vectors @ self.index.vectors.T).max(axis=1)
 
@@ -277,12 +263,7 @@ def cross_distribution_grid(
     resolved = {name: resolve_scorer(s) for name, s in scorers.items()}
     cells: dict[tuple[str, str], EvalReport] = {}
     for alt_name, alt_spec in alt_transforms.items():
-        cell_cfg = EvalConfig(
-            num_alternatives=cfg.num_alternatives,
-            ks=cfg.ks,
-            alternative_transform=alt_spec,
-            seed=cfg.seed,
-        )
+        cell_cfg = replace(cfg, alternative_transform=alt_spec)
         for scorer_name, scorer in resolved.items():
             cells[(alt_name, scorer_name)] = evaluate(
                 scorer, test_pairs, train_dist, cell_cfg, embeddings

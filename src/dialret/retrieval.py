@@ -17,7 +17,7 @@ import numpy as np
 
 from ._container import read_container, write_container
 from .corpus import ContextResponsePair
-from .encoder import DualEncoderModel, encode, encode_batch, truncate_context, truncate_response
+from .encoder import DualEncoderModel
 from .errors import DataError
 
 # Cosine weight of the response encoding inside a history vector; 0.4
@@ -49,7 +49,9 @@ class HistoryIndex:
     ):
         self.response_weight = float(response_weight)
         self.pair_ids = np.asarray(pair_ids, dtype=np.int64)
-        self.vectors = np.asarray(vectors, dtype=np.float64)
+        # A read-only copy, so the checks below hold for the index's lifetime.
+        self.vectors = np.array(vectors, dtype=np.float64)
+        self.vectors.flags.writeable = False
         self.responses = list(responses)
         self.model = model
         self.checkpoint_ref = checkpoint_ref
@@ -81,6 +83,17 @@ class HistoryIndex:
         return self.model
 
 
+def history_rows(
+    contexts: np.ndarray, responses: np.ndarray, response_weight: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``normalize(context + response_weight * response)`` and the norms
+    they were divided by; a row whose sum is zero stays zero."""
+    rows = contexts + response_weight * responses
+    norms = np.linalg.norm(rows, axis=1)
+    rows /= np.maximum(norms, 1e-300)[:, None]
+    return rows, norms
+
+
 def build_history_index(
     model: DualEncoderModel,
     pairs: Sequence[ContextResponsePair],
@@ -92,24 +105,16 @@ def build_history_index(
     if not pairs:
         raise DataError("cannot build an index from zero pairs")
     ordered = sorted(pairs, key=lambda p: p.pair_id)
-    contexts = encode_batch(
-        model.context_encoder,
-        model.embeddings,
-        [truncate_context(p.context_tokens) for p in ordered],
+    history, norms = history_rows(
+        model.encode_contexts([p.context_tokens for p in ordered]),
+        model.encode_responses([p.response_tokens for p in ordered]),
+        response_weight,
     )
-    responses = encode_batch(
-        model.response_encoder,
-        model.embeddings,
-        [truncate_response(p.response_tokens) for p in ordered],
-    )
-    history = contexts + response_weight * responses
-    norms = np.linalg.norm(history, axis=1)
     bad = np.flatnonzero(norms <= _NORM_EPS)
     if bad.size:
         raise DataError(
             f"history vector for pair {ordered[bad[0]].pair_id} has zero norm"
         )
-    history /= norms[:, None]
     return HistoryIndex(
         response_weight=response_weight,
         pair_ids=[p.pair_id for p in ordered],
@@ -119,11 +124,6 @@ def build_history_index(
         checkpoint_ref=checkpoint_ref,
         checkpoint_sha256=checkpoint_sha256,
     )
-
-
-def _normalize_query(vector: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vector)
-    return vector / norm if norm > _NORM_EPS else vector
 
 
 def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
@@ -154,11 +154,12 @@ def query_nearest(
         raise DataError("top_k must be at least 1")
     if len(index) == 0:
         raise DataError("index is empty")
-    model = index._require_model()
-    query = encode(
-        model.context_encoder, model.embeddings, truncate_context(context_tokens)
-    )
-    query = _normalize_query(query)
+    query = index._require_model().encode_context(context_tokens)
+    # The 1-D norm is a BLAS dot product, which can round differently from
+    # history_rows' row-wise norm, so the query keeps its own.
+    norm = np.linalg.norm(query)
+    if norm > _NORM_EPS:
+        query = query / norm
     # einsum without optimize is numpy's own loop, one dot product per
     # row, not a BLAS matvec: every row is reduced by the same code over
     # the same number of elements, so bitwise-identical rows get

@@ -12,7 +12,6 @@ from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
 from dialret.distribution import TransformSpec, count_responses
 from dialret.encoder import load_checkpoint, save_checkpoint
 from dialret.errors import ConfigError
-from dialret.retrieval import load_index, save_index
 from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
 from dialret.seeding import derive_seed
 
@@ -323,9 +322,13 @@ class TestSubcommands:
         assert main(["eval", "--config", str(config), "--checkpoint",
                      str(tmp_path / "nan.ckpt")]) == 4
         assert "'bilinear' holds non-finite" in capsys.readouterr().err
-        index = load_index(workspace / "out" / "history_identity.idx")
-        index.vectors[3] = np.nan
-        save_index(index, tmp_path / "nan.idx")
+        # The loaded index is read-only, so write row 3 of the payload as NaN.
+        data = bytearray((workspace / "out" / "history_identity.idx").read_bytes())
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        dim = json.loads(data[16 : 16 + header_len])["dim"]
+        row = 16 + header_len + 3 * dim * 8
+        data[row : row + dim * 8] = np.full(dim, np.nan, dtype="<f8").tobytes()
+        (tmp_path / "nan.idx").write_bytes(bytes(data))
         assert main(["retrieve", "--index", str(tmp_path / "nan.idx"), "--query", "ask1"]) == 4
         assert "'vectors' holds non-finite" in capsys.readouterr().err
 

@@ -5,15 +5,7 @@ from hypothesis import strategies as st
 
 from dialret.corpus import ContextResponsePair
 from dialret.distribution import ResponseDistribution, TransformSpec, count_responses
-from dialret.encoder import (
-    DualEncoderModel,
-    encode,
-    encode_batch,
-    random_embeddings,
-    score_pair,
-    truncate_context,
-    truncate_response,
-)
+from dialret.encoder import DualEncoderModel, random_embeddings, score_pair
 from dialret.errors import CandidatePoolError, DataError, NumericError
 from dialret.evaluation import (
     AnnotationRecord,
@@ -213,13 +205,8 @@ class TestModelScorers:
         for p in pairs[:10]:
             candidates = [f"resp {i}" for i in range(11)]
             scores = scorer.score_candidates(p.context_tokens, candidates)
-            ctx = encode(
-                model.context_encoder, model.embeddings, truncate_context(p.context_tokens)
-            )
-            responses = encode_batch(
-                model.response_encoder, model.embeddings,
-                [truncate_response(c.split(" ")) for c in candidates],
-            )
+            ctx = model.encode_context(p.context_tokens)
+            responses = model.encode_responses([c.split(" ") for c in candidates])
             vectors = ctx + index.response_weight * responses
             vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
             reference = (index.vectors @ vectors.T).max(axis=0)

@@ -83,6 +83,19 @@ class TestBuildHistoryIndex:
             build_history_index(model, [pair(1, ["t0"], ["t1"]), pair(1, ["t2"], ["t3"])])
 
 
+class TestHistoryIndexVectors:
+    def test_vectors_are_a_read_only_copy(self, tmp_path):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
+        index = HistoryIndex(0.4, [1, 2], vectors, ["a", "b"])
+        with pytest.raises(ValueError):
+            index.vectors[0] = np.nan
+        vectors[0] = [0.0, 1.0]
+        assert index.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        save_index(index, tmp_path / "h.idx")
+        with pytest.raises(ValueError):
+            load_index(tmp_path / "h.idx").vectors[1, 1] = np.inf
+
+
 class TestQueryNearest:
     def test_self_query_scores_one(self):
         model = attention_model(seed=6)
