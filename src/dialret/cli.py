@@ -153,14 +153,14 @@ def _training_set(
     cfg: ExperimentConfig, data: _Corpus, label: str, embeddings: enc_mod.EmbeddingTable,
     seed: int | None = None, neg_per_pos: int | None = None, filter_inverse_count: bool = False,
 ):
-    """Epoch 0's training set for the ``label`` variant, and its resampler.
+    """Epoch 0's set for the ``label`` variant, its resampler, and the file it is in.
 
-    The one builder behind ``build-trainset`` and ``train``, so both write
-    the same set. ``seed`` and ``neg_per_pos`` replace the config's values
-    and ``filter_inverse_count`` turns the filter on, for the sampling
-    alone: the split and ``embeddings`` still come from the config's master
-    seed. The resampler is ``None`` unless ``sampling.resample_each_epoch``
-    is set; then epoch 0's set is ``resampler(0)``.
+    Builds and writes ``trainset_<label>.jsonl`` for both ``build-trainset``
+    and ``train``. ``seed`` and ``neg_per_pos`` replace the config's values
+    and ``filter_inverse_count`` turns the filter on, for the sampling alone:
+    the file name, the split and ``embeddings`` stay as the config has them.
+    The resampler is ``None`` unless ``sampling.resample_each_epoch`` is
+    set; then epoch 0's set is ``resampler(0)``.
     """
     seed = cfg.master_seed if seed is None else seed
     strategy = samp_mod.SamplingStrategy(
@@ -169,26 +169,26 @@ def _training_set(
         filter_by_inverse_count=cfg.filter_by_inverse_count or filter_inverse_count,
     )
     pairs, dist = data.pairs("train"), data.train_dist
-    if not cfg.resample_each_epoch:
-        rng = derive_rng(seed, "trainset", label)
-        return samp_mod.build_training_set(pairs, dist, strategy, rng, embeddings), None
-    resampler = samp_mod.make_epoch_resampler(
-        pairs, dist, strategy, derive_seed(seed, "trainset", label), embeddings
+    resampler = None
+    if cfg.resample_each_epoch:
+        resampler = samp_mod.make_epoch_resampler(
+            pairs, dist, strategy, derive_seed(seed, "trainset", label), embeddings
+        )
+    examples = resampler(0) if resampler else samp_mod.build_training_set(
+        pairs, dist, strategy, derive_rng(seed, "trainset", label), embeddings
     )
-    return resampler(0), resampler
+    path = cfg.output_dir / f"trainset_{_safe_label(label)}.jsonl"
+    samp_mod.write_training_set(path, examples)
+    return examples, resampler, path
 
 
 def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     transform_label = args.transform or cfg.sampling_transform
     data = _Corpus(cfg)
-    examples, _ = _training_set(
+    examples, _, path = _training_set(
         cfg, data, transform_label, _embeddings_for(cfg, data.dialogues("train")),
         args.seed, args.neg_ratio, args.filter_inverse_count,
     )
-    filtered = cfg.filter_by_inverse_count or args.filter_inverse_count
-    suffix = _safe_label(transform_label) + ("_filtered" if filtered else "")
-    path = cfg.output_dir / f"trainset_{suffix}.jsonl"
-    samp_mod.write_training_set(path, examples)
     positives = sum(e.label for e in examples)
     print(f"wrote {len(examples)} examples ({positives} positive) -> {path}")
     return [], [path]
@@ -202,7 +202,7 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
     # A fresh table per variant: training with train_embeddings updates
     # its matrix in place.
     embeddings_table = _embeddings_for(cfg, data.dialogues("train"))
-    examples, resampler = _training_set(cfg, data, transform_label, embeddings_table)
+    examples, resampler, trainset_path = _training_set(cfg, data, transform_label, embeddings_table)
     model = enc_mod.DualEncoderModel.create(
         embeddings_table,
         variant=cfg.encoder_variant,
@@ -221,8 +221,6 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
     )
     result = enc_mod.train(model, examples, train_config, resampler=resampler)
     suffix = _safe_label(transform_label)
-    trainset_path = cfg.output_dir / f"trainset_{suffix}.jsonl"
-    samp_mod.write_training_set(trainset_path, examples)
     ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
     enc_mod.save_checkpoint(model, ckpt_path)
     trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
@@ -366,7 +364,7 @@ def cmd_export_anno(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]
         scorers["history-index"] = _load_index_with_model(Path(args.index), None)
         inputs.append(Path(args.index))
     for name, entry in cfg.annotation_models.items():
-        path = (Path(args.config).parent / entry["path"]).resolve()
+        path = entry["path"]
         if entry["kind"] == "checkpoint":
             scorers[name] = enc_mod.load_checkpoint(path)
         else:

@@ -16,9 +16,10 @@ fields checked by hand:
     grid.*              non-empty lists of distinct transform labels
     annotation.models   {name: {"kind": "checkpoint" | "index", "path": ...}}
 
-Relative paths are resolved against the directory containing the config
-file. Validation reports every bad field at once. Every stage seed is
-derived from ``master_seed`` via :mod:`dialret.seeding`.
+Relative paths, ``annotation.models`` paths too, are resolved here
+against the config file's directory. Validation reports every bad field
+at once. Every stage seed is derived from ``master_seed`` via
+:mod:`dialret.seeding`.
 """
 
 from __future__ import annotations
@@ -269,7 +270,9 @@ def parse_config(
                     f"annotation.models.{name}",
                     "must be {\"kind\": \"checkpoint\"|\"index\", \"path\": ...}",
                 )
-        cfg.annotation_models = models
+            else:
+                path = (base_dir / entry["path"]).resolve()
+                cfg.annotation_models[name] = {**entry, "path": path}
 
     if v.errors:
         raise ConfigError("invalid configuration", v.errors)

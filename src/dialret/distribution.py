@@ -219,7 +219,7 @@ def response_vectors(
         tokens = tokenize(response)
         if not tokens:
             continue
-        mean = np.mean([embeddings.vector(t) for t in tokens], axis=0)
+        mean = np.mean(embeddings.matrix[embeddings.indices(tokens)], axis=0)
         norm = np.linalg.norm(mean)
         vectors[i] = mean / norm if norm > 0 else mean
     return vectors

@@ -144,17 +144,11 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
 
-    def index(self, token: str) -> int:
-        return self.vocab.get(token, self.oov_index)
-
     def indices(self, tokens: Sequence[str]) -> np.ndarray:
         oov = self.oov_index
         return np.fromiter(
             (self.vocab.get(t, oov) for t in tokens), dtype=np.int64, count=len(tokens)
         )
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.matrix[self.index(token)]
 
     def tokens_in_index_order(self) -> list[str]:
         ordered = sorted(self.vocab.items(), key=lambda kv: kv[1])

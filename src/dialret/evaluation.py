@@ -2,16 +2,19 @@
 
 For every test pair, ``num_alternatives`` distinct wrong responses are
 drawn from a configurable transform of the training response
-distribution. The true response plus the alternatives are ranked by the
-scorer under test; the pair counts as a hit at k when the true response
-lands in the top k. Ties are resolved against the true response, so a
+distribution (:func:`dialret.sampling.draw_distinct_alternatives`, which
+raises ``CandidatePoolError`` on a transform too concentrated to yield
+them). The true response plus the alternatives are ranked by the scorer
+under test; the pair counts as a hit at k when the true response lands
+in the top k. Ties are resolved against the true response, so a
 constant scorer gets recall 0 rather than a freebie.
 
 Scorers: a DualEncoderModel, a HistoryIndex, any object with a
 ``score_candidates(context_tokens, candidate_responses)`` method, or a
-bare callable with that signature. Alternative draws depend only on
-(seed, pair_id, transform), so two models evaluated under the same
-config see identical candidate lists.
+bare callable with that signature, which :func:`resolve_scorer` returns
+for each. Alternative draws depend only on (seed, pair_id, transform),
+so two models evaluated under the same config see identical candidate
+lists.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .distribution import ResponseDistribution, TransformSpec, transform
 from .encoder import DualEncoderModel, sigmoid
 from .errors import CandidatePoolError, DataError, NumericError
 from .retrieval import HistoryIndex, _top_k_rows, history_rows
+from .sampling import draw_distinct_alternatives
 from .seeding import derive_rng
 
 
@@ -114,61 +118,31 @@ class HistoryIndexScorer(_CachedEncoder):
         return (vectors @ self.index.vectors.T).max(axis=1)
 
 
-class _CallableScorer:
-    def __init__(self, fn: Callable):
-        self._fn = fn
-
-    def score_candidates(self, context_tokens, candidates) -> np.ndarray:
-        return np.asarray(self._fn(context_tokens, candidates), dtype=np.float64)
-
-
-def resolve_scorer(scorer):
-    """Accept a model, an index, a scorer object, or a callable."""
+def resolve_scorer(scorer) -> Callable[[Sequence[str], Sequence[str]], np.ndarray]:
+    """The ``(context_tokens, candidates) -> scores`` function of a scorer."""
     if isinstance(scorer, DualEncoderModel):
-        return DualEncoderScorer(scorer)
+        return DualEncoderScorer(scorer).score_candidates
     if isinstance(scorer, HistoryIndex):
-        return HistoryIndexScorer(scorer)
+        return HistoryIndexScorer(scorer).score_candidates
     if hasattr(scorer, "score_candidates"):
-        return scorer
+        return scorer.score_candidates
     if callable(scorer):
-        return _CallableScorer(scorer)
+        return scorer
     raise DataError(f"cannot interpret {type(scorer).__name__} as a scorer")
 
 
-def _scores(scorer, context_tokens, candidates: Sequence[str]) -> np.ndarray:
+def _scores(score_fn, context_tokens, candidates: Sequence[str]) -> np.ndarray:
     """A resolved scorer's scores, checked to be one finite float per candidate.
 
     NaN compares false with everything, so an unchecked NaN score would
     rank every true response first.
     """
-    scores = np.asarray(scorer.score_candidates(context_tokens, candidates), dtype=np.float64)
+    scores = np.asarray(score_fn(context_tokens, candidates), dtype=np.float64)
     if scores.shape != (len(candidates),):
         raise DataError("scorer returned wrong number of scores")
     if not np.all(np.isfinite(scores)):
         raise NumericError("scorer returned non-finite scores")
     return scores
-
-
-def _draw_distinct_alternatives(
-    dist: ResponseDistribution, true_response: str, m: int, rng: np.random.Generator
-) -> list[str]:
-    """m distinct responses != true, drawn without replacement."""
-    available = len(dist) - (1 if true_response in dist else 0)
-    if available < m:
-        raise CandidatePoolError(
-            f"need {m} distinct alternatives but only {available} are available"
-        )
-    responses = dist.responses
-    sampler = dist.sampler()
-    chosen: list[str] = []
-    seen = {true_response}
-    while len(chosen) < m:
-        for i in sampler.draw(rng, m - len(chosen)):
-            text = responses[i]
-            if text not in seen:
-                seen.add(text)
-                chosen.append(text)
-    return chosen
 
 
 def evaluate(
@@ -189,7 +163,7 @@ def evaluate(
     ranks: list[int] = []
     for pair in test_pairs:
         rng = derive_rng(cfg.seed, "eval-pair", pair.pair_id)
-        alternatives = _draw_distinct_alternatives(
+        alternatives = draw_distinct_alternatives(
             alt_dist, pair.response_text, cfg.num_alternatives, rng
         )
         candidates = [pair.response_text] + alternatives

@@ -1,10 +1,12 @@
-"""Negative sampling and training-set assembly.
+"""Response draws and training-set assembly.
 
 Negatives are drawn i.i.d. from a (possibly transformed) response
-distribution, conditioned on differing from the pair's true response.
-The conditioning is implemented by rejection with renormalization, which
-is exact. Draws use a Vose alias table, so each draw costs O(1) after
-O(n) setup.
+distribution, conditioned on differing from the pair's true response;
+evaluation alternatives are drawn distinct from each other and from the
+true response. Both use rejection with redraw, which is exact, and give
+up with ``DataError`` after ``MAX_DRAW_ROUNDS`` rounds rather than loop
+on a distribution whose mass sits on the excluded responses. Draws use a
+Vose alias table, so each draw costs O(1) after O(n) setup.
 
 All randomness flows through injected ``numpy.random.Generator`` handles
 (PCG64; see :mod:`dialret.seeding`), making every output reproducible
@@ -19,12 +21,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ContextResponsePair
+from .corpus import ContextResponsePair, read_text_lines
 from .distribution import ResponseDistribution, TransformSpec, transform
-from .errors import DataError
+from .errors import CandidatePoolError, DataError
 
 if TYPE_CHECKING:
     from .encoder import EmbeddingTable
+
+# Rejection rounds after which a draw gives up.
+MAX_DRAW_ROUNDS = 10_000
 
 
 class AliasSampler:
@@ -130,13 +135,37 @@ def draw_negatives(
         rounds = 0
         while bad.size:
             rounds += 1
-            if rounds > 10_000:  # unreachable: excluded mass < 1 by invariant
+            if rounds > MAX_DRAW_ROUNDS:
                 raise DataError("negative sampling failed to exclude true response")
             redraw = sampler.draw(rng, bad.size)
             draws[bad] = redraw
             bad = bad[redraw == excluded]
     responses = dist.responses
     return [responses[i] for i in draws]
+
+
+def draw_distinct_alternatives(
+    dist: ResponseDistribution, true_response: str, m: int, rng: np.random.Generator
+) -> list[str]:
+    """``m`` distinct responses != true, drawn from ``dist`` without replacement."""
+    available = len(dist) - (1 if true_response in dist else 0)
+    if available < m:
+        raise CandidatePoolError(
+            f"need {m} distinct alternatives but only {available} are available"
+        )
+    responses = dist.responses
+    sampler = dist.sampler()
+    chosen: list[str] = []
+    seen = {true_response}
+    for _ in range(MAX_DRAW_ROUNDS):
+        for i in sampler.draw(rng, m - len(chosen)):
+            text = responses[i]
+            if text not in seen:
+                seen.add(text)
+                chosen.append(text)
+        if len(chosen) == m:
+            return chosen
+    raise CandidatePoolError(f"no {m} distinct alternatives in {MAX_DRAW_ROUNDS} draw rounds")
 
 
 def build_training_set(
@@ -242,21 +271,21 @@ def write_training_set(path, examples: Iterable[TrainingExample]) -> None:
 
 
 def read_training_set(path) -> list[TrainingExample]:
+    """Parse a file written by :func:`write_training_set`; any defect raises DataError."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                examples.append(
-                    TrainingExample(
-                        context_tokens=tuple(obj["context_tokens"]),
-                        response_tokens=tuple(obj["response_tokens"]),
-                        label=int(obj["label"]),
-                        source_pair_id=int(obj["source_pair_id"]),
-                    )
+    for line_no, line in enumerate(read_text_lines(path, "training set"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            examples.append(
+                TrainingExample(
+                    context_tokens=tuple(obj["context_tokens"]),
+                    response_tokens=tuple(obj["response_tokens"]),
+                    label=int(obj["label"]),
+                    source_pair_id=int(obj["source_pair_id"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"bad training example on line {line_no}: {exc}")
+            )
+        except (DataError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"training set {path} line {line_no}: bad example ({exc})")
     return examples

@@ -156,7 +156,9 @@ class TestConfigValidation:
             "grid_train_transforms": ("kde:0.4",),
             "grid_alt_transforms": ("power:1", "uniform"),
             "annotation_num_questions": 5, "annotation_n_responses": 2,
-            "annotation_models": {"m": {"kind": "index", "path": "x.idx"}},
+            "annotation_models": {
+                "m": {"kind": "index", "path": (tmp_path / "x.idx").resolve()}
+            },
             "raw": data,
         }
         assert vars(cfg) == expected
@@ -276,6 +278,52 @@ class TestSubcommands:
             written.unlink(missing_ok=True)
             assert main([command, "--config", str(config)]) == 0
             assert written.read_bytes() == expected.read_bytes(), command
+
+    def test_filtered_trainset_keeps_the_one_name(self, workspace, tmp_path):
+        corpus = workspace / "corpus.jsonl"
+        config = write_config(
+            tmp_path / "config.json", corpus, sampling={"filter_by_inverse_count": True}
+        )
+        written = tmp_path / "out" / "trainset_identity.jsonl"
+        assert main(["train", "--config", str(config)]) == 0
+        trained_on = written.read_bytes()
+        written.unlink()
+        assert main(["build-trainset", "--config", str(config)]) == 0
+        assert written.read_bytes() == trained_on
+        written.unlink()
+        flag_config = write_config(tmp_path / "flag.json", corpus)
+        assert main(["build-trainset", "--config", str(flag_config),
+                     "--filter-inverse-count"]) == 0
+        assert written.read_bytes() == trained_on
+        assert not list((tmp_path / "out").glob("*_filtered.jsonl"))
+
+    def test_too_concentrated_alternatives_exit_4(self, workspace, capsys):
+        index = workspace / "out" / "history_identity.idx"
+        assert main([
+            "eval", "--config", str(workspace / "config.json"), "--index", str(index),
+            "--alternative-transform", "power:12",
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "distinct alternatives" in err
+        assert "Traceback" not in err
+
+    def test_annotation_model_paths_resolve_against_the_config(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        (tmp_path / "models").mkdir()
+        ckpt = tmp_path / "models" / "m.ckpt"
+        ckpt.write_bytes((workspace / "out" / "model_identity.ckpt").read_bytes())
+        config = write_config(
+            tmp_path / "config.json", workspace / "corpus.jsonl",
+            annotation={"models": {"m": {"kind": "checkpoint", "path": "models/m.ckpt"}}},
+        )
+        monkeypatch.chdir(workspace)
+        assert main(["export-anno", "--config", str(config)]) == 0
+        manifest = json.loads(
+            (tmp_path / "out" / "export-anno.manifest.json").read_text(encoding="utf-8")
+        )
+        assert str(ckpt.resolve()) in manifest["inputs"]
 
     def test_retrieve_prints_ranked(self, workspace, capsys):
         index = workspace / "out" / "history_identity.idx"

@@ -71,7 +71,7 @@ def reference_gru(params, emb, tokens):
     bz, br, bh = np.split(params.b, 3)
     h = np.zeros(params.hidden)
     for token in tokens:
-        e = emb.vector(token)
+        e = emb.matrix[emb.indices([token])[0]]
         z = sigmoid(wz @ e + uz @ h + bz)
         r = sigmoid(wr @ e + ur @ h + br)
         g = np.tanh(wh @ e + uh @ (r * h) + bh)
@@ -86,7 +86,7 @@ class TestLoadEmbeddings:
 
     def test_unseen_token_gets_oov(self):
         table = load_embeddings(["2 2\n", "a 1 0\n", "b 0 1\n"])
-        assert np.allclose(table.vector("zzz"), table.oov_vector)
+        assert np.allclose(table.matrix[table.indices(["zzz"])[0]], table.oov_vector)
 
     def test_empty_file(self):
         with pytest.raises(DataError):
@@ -107,14 +107,14 @@ class TestLoadEmbeddings:
     def test_duplicate_token_first_wins(self, caplog):
         with caplog.at_level(logging.WARNING):
             table = load_embeddings(["2 2\n", "a 1 0\n", "a 0 1\n"])
-        assert np.allclose(table.vector("a"), [1, 0])
+        assert np.allclose(table.matrix[table.indices(["a"])[0]], [1, 0])
         assert any("duplicate" in r.message for r in caplog.records)
 
     def test_file_path_roundtrip(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\nalpha 1 2 3\nbeta 4 5 6\n", encoding="utf-8")
         table = load_embeddings(path, expected_dim=3)
-        assert np.allclose(table.vector("beta"), [4, 5, 6])
+        assert np.allclose(table.matrix[table.indices(["beta"])[0]], [4, 5, 6])
 
 
 class TestRandomEmbeddings:
@@ -149,13 +149,13 @@ class TestEncode:
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
         params = AttentionParams.create(6, np.random.default_rng(2))
         out = encode(params, emb, ["t4"])
-        assert np.allclose(out, emb.vector("t4"), atol=1e-12)
+        assert np.allclose(out, emb.matrix[emb.indices(["t4"])[0]], atol=1e-12)
 
     def test_attention_identical_tokens_convex(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
         params = AttentionParams.create(6, np.random.default_rng(2))
         out = encode(params, emb, ["t4", "t4"])
-        assert np.allclose(out, emb.vector("t4"), atol=1e-12)
+        assert np.allclose(out, emb.matrix[emb.indices(["t4"])[0]], atol=1e-12)
 
     def test_attention_weights_simplex(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=3)

@@ -45,7 +45,7 @@ class TestBuildHistoryIndex:
         pairs = [pair(i, [f"t{i}"], [f"t{i+10}"]) for i in range(5)]
         index = build_history_index(model, pairs, response_weight=0.0)
         for i, p in enumerate(pairs):
-            expected = model.embeddings.vector(p.context_tokens[0])
+            expected = model.embeddings.matrix[model.embeddings.indices([p.context_tokens[0]])[0]]
             expected = expected / np.linalg.norm(expected)
             assert np.allclose(index.vectors[i], expected, atol=1e-12)
 

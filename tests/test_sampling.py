@@ -11,12 +11,13 @@ from dialret.distribution import (
     transform,
 )
 from dialret.encoder import random_embeddings
-from dialret.errors import DataError
+from dialret.errors import CandidatePoolError, DataError
 from dialret.sampling import (
     AliasSampler,
     SamplingStrategy,
     TrainingExample,
     build_training_set,
+    draw_distinct_alternatives,
     draw_negatives,
     make_epoch_resampler,
     read_training_set,
@@ -103,6 +104,52 @@ class TestDrawNegatives:
         dist = dist_from([0.5, 0.5], responses=["a", "b"])
         draws = draw_negatives(dist, "not-present", 200, derive_rng(2, "u"))
         assert set(draws) <= {"a", "b"}
+
+
+def unbounded_distinct_alternatives(dist, true_response, m, rng):
+    """The alternatives draw before it had a round bound, kept as the reference stream."""
+    responses = dist.responses
+    sampler = dist.sampler()
+    chosen = []
+    seen = {true_response}
+    while len(chosen) < m:
+        for i in sampler.draw(rng, m - len(chosen)):
+            text = responses[i]
+            if text not in seen:
+                seen.add(text)
+                chosen.append(text)
+    return chosen
+
+
+def concentrated(label):
+    """r0 with 1000 occurrences and r1..r49 with one each, transformed by ``label``."""
+    counts = {"r0": 1000, **{f"r{i}": 1 for i in range(1, 50)}}
+    return transform(ResponseDistribution.from_counts(counts), TransformSpec.parse(label))
+
+
+class TestDrawBound:
+    def test_too_concentrated_alternatives_raise(self):
+        # power:12 leaves r1..r49 about 1e-36 of the mass: nine distinct
+        # alternatives besides r1 cannot be found, and the draw must say so.
+        with pytest.raises(CandidatePoolError, match="10000 draw rounds"):
+            draw_distinct_alternatives(concentrated("power:12"), "r1", 9, derive_rng(0))
+
+    def test_too_concentrated_negatives_raise(self):
+        with pytest.raises(DataError, match="failed to exclude"):
+            draw_negatives(concentrated("power:12"), "r0", 5, derive_rng(0))
+
+    @pytest.mark.parametrize("label", ["identity", "uniform", "power:-0.5"])
+    def test_bounded_draw_keeps_the_unbounded_stream(self, label):
+        counts = {f"r{i}": max(1, 400 // (i + 1)) for i in range(30)}
+        dist = transform(ResponseDistribution.from_counts(counts), TransformSpec.parse(label))
+        for seed in range(20):
+            for pair_id in range(10):
+                true = f"r{(seed * 7 + pair_id) % 30}"
+                got = draw_distinct_alternatives(dist, true, 9, derive_rng(seed, "p", pair_id))
+                want = unbounded_distinct_alternatives(
+                    dist, true, 9, derive_rng(seed, "p", pair_id)
+                )
+                assert got == want, (seed, pair_id)
 
 
 def make_pairs(responses):
@@ -263,6 +310,22 @@ class TestTrainingExampleIO:
     def test_label_validation(self):
         with pytest.raises(DataError):
             TrainingExample(("a",), ("b",), 2, 0)
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_bytes(b'{"context_tokens": ["\xff"]}\n')
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_training_set(path)
+
+    @pytest.mark.parametrize("label", ['"x"', "2"])
+    def test_bad_label_names_its_line(self, tmp_path, label):
+        path = tmp_path / "train.jsonl"
+        write_training_set(path, [TrainingExample(("a",), ("b",), 1, 0)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"context_tokens": ["a"], "response_tokens": ["b"], '
+                     f'"label": {label}, "source_pair_id": 1}}\n')
+        with pytest.raises(DataError, match="line 2"):
+            read_training_set(path)
 
     def test_byte_identical_serialization(self, tmp_path):
         examples = [TrainingExample(("a",), ("b",), 1, 0)]
