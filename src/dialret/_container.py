@@ -1,6 +1,6 @@
 """The binary container shared by checkpoints and history indexes.
 
-Byte layout, version 1:
+Bytes, version 2:
 
     bytes 0..5      magic, six bytes naming the format
     bytes 6..7      format version, uint16 little-endian
@@ -9,11 +9,15 @@ Byte layout, version 1:
     then the header's tensors in order, float64 little-endian, row-major,
     no padding, and nothing after the last one.
 
-Each format's header lists its own payload tensors; the reader takes that
-list from a ``layout`` function and checks every length against the file,
-so a malformed file of either format raises :class:`DataError`. So do a
-non-finite payload value and a SHA-256 other than the caller expects,
-checked on the bytes the reader decodes, so the file is read once.
+Beside each format's own keys, the writer lists the payload in the header
+as ``"tensors": [[name, shape], ...]`` in file order, with its SHA-256 as
+``"payload_sha256"``. A malformed file, a payload that does not match its
+hash or holds a non-finite value, and a file SHA-256 other than the caller
+expects raise :class:`DataError`, all checked on the bytes the reader
+decodes, so the file is read once. Version 1 is not read: re-run ``train``
+or ``grid`` to regenerate such a file. A write goes to a temporary file
+that then replaces the destination, so a failed write leaves the previous
+file intact.
 """
 
 from __future__ import annotations
@@ -23,23 +27,36 @@ import json
 import math
 import os
 import struct
-from typing import Callable, Iterable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DataError
 
-VERSION = 1
+VERSION = 2
 _PREFIX_BYTES = 16
 
 
-def write_container(path, magic: bytes, header: dict, tensors: Iterable[np.ndarray]) -> None:
+def write_container(path, magic: bytes, header: dict, tensors: Mapping[str, np.ndarray]) -> None:
+    """Write ``header`` and the ``tensors`` (name -> array, in file order) to ``path``."""
+    arrays = {name: np.ascontiguousarray(t, dtype="<f8") for name, t in tensors.items()}
+    payload = hashlib.sha256()
+    for array in arrays.values():
+        payload.update(array)
+    header = dict(header, payload_sha256=payload.hexdigest(),
+                  tensors=[[name, list(array.shape)] for name, array in arrays.items()])
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<H", VERSION) + struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for tensor in tensors:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(magic + struct.pack("<HQ", VERSION, len(blob)) + blob)
+            for array in arrays.values():
+                fh.write(array)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _size(shape) -> int:
@@ -49,24 +66,24 @@ def _size(shape) -> int:
 
 
 def read_container(
-    path, magic: bytes, kind: str,
-    layout: Callable[[dict], list], build: Callable[[dict, dict], object],
+    path, magic: bytes, kind: str, build: Callable[[dict, dict], object],
     sha256: str | None = None,
 ):
     """``build(header, tensors)`` for the container file at ``path``.
 
-    ``layout(header)`` lists the payload as ``(name, shape)`` pairs in file
-    order. A wrong magic or version, a short or overlong file, a header
-    that is not JSON, a file whose SHA-256 is not ``sha256`` (when given),
-    a non-finite payload value, and a ``KeyError``, ``TypeError`` or
-    ``ValueError`` raised by ``layout`` or ``build`` all become
-    :class:`DataError`.
+    A wrong magic or version, a short or overlong file, a header that is
+    not JSON, a payload whose SHA-256 is not the header's, a file whose
+    SHA-256 is not ``sha256`` (when given), a non-finite payload value,
+    and a ``KeyError``, ``TypeError`` or ``ValueError`` raised while
+    reading the header or by ``build`` all become :class:`DataError`.
     """
     digest = hashlib.sha256()
+    payload = hashlib.sha256()
     with open(path, "rb") as fh:
-        def read(size: int) -> bytes:
+        def read(size: int, *hashes) -> bytes:
             data = fh.read(size)
-            digest.update(data)
+            for h in (digest, *hashes):
+                h.update(data)
             return data
 
         file_size = os.fstat(fh.fileno()).st_size
@@ -77,7 +94,8 @@ def read_container(
             raise DataError(f"{kind} file truncated in its {_PREFIX_BYTES}-byte prefix")
         version, header_len = struct.unpack_from("<HQ", prefix, 6)
         if version != VERSION:
-            raise DataError(f"unsupported {kind} version {version}")
+            raise DataError(f"unsupported {kind} version {version}; re-run train or grid "
+                            f"to regenerate it as version {VERSION}")
         # Every length is checked against the file size before it is read,
         # so a corrupt length never asks for more memory than the file holds.
         offset = _PREFIX_BYTES + header_len
@@ -86,18 +104,21 @@ def read_container(
         try:
             header = json.loads(read(header_len).decode("utf-8"))
             tensors: dict[str, np.ndarray] = {}
-            for name, shape in layout(header):
+            for name, shape in header["tensors"]:
                 size = 8 * _size(shape)
                 if name in tensors:
                     raise ValueError(f"tensor {name!r} listed twice")
                 if file_size < offset + size:
                     raise DataError(f"{kind} truncated while reading {name!r}")
                 tensors[name] = (
-                    np.frombuffer(read(size), "<f8").astype(np.float64).reshape(shape)
+                    np.frombuffer(read(size, payload), "<f8").astype(np.float64).reshape(shape)
                 )
                 offset += size
             if file_size != offset:
                 raise DataError(f"{kind} file has {file_size - offset} bytes after its payload")
+            if payload.hexdigest() != header["payload_sha256"]:
+                raise DataError(f"{kind} {path} payload hash {payload.hexdigest()[:12]}... "
+                                f"does not match its header")
             actual = digest.hexdigest()
             if sha256 and actual != sha256:
                 raise DataError(f"{kind} {path} hash {actual[:12]}... does not match "

@@ -317,6 +317,16 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     out = cfg.output_dir
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
+    alt_transforms = {
+        label: dist_mod.TransformSpec.parse(label) for label in cfg.grid_alt_transforms
+    }
+    embeddings = None
+    if any(spec.kind == "kde" for spec in alt_transforms.values()):
+        embeddings = _embeddings_for(cfg, data.dialogues("train"))
+    # A column whose candidates cannot be drawn fails before any training;
+    # the draws use per-pair streams, so the evaluation below is unchanged.
+    for label in cfg.grid_alt_transforms:
+        eval_mod.draw_candidates(test_pairs, train_dist, _eval_config(cfg, label), embeddings)
 
     scorers: dict[str, object] = {}
     artifacts: list[Path] = []
@@ -326,12 +336,6 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
         scorers[label] = model
         artifacts.extend(model_artifacts)
 
-    alt_transforms = {
-        label: dist_mod.TransformSpec.parse(label) for label in cfg.grid_alt_transforms
-    }
-    embeddings = None
-    if any(spec.kind == "kde" for spec in alt_transforms.values()):
-        embeddings = _embeddings_for(cfg, data.dialogues("train"))
     eval_cfg = _eval_config(cfg, cfg.grid_alt_transforms[0])
     grid = eval_mod.cross_distribution_grid(
         scorers, alt_transforms, test_pairs, train_dist, eval_cfg, embeddings

@@ -28,16 +28,16 @@ rows. The test suite checks every analytic gradient against central
 finite differences.
 
 GRU kernels. The weights have one layout, fused with gate rows in z, r,
-h order: W = [Wz; Wr; Wh] (3H x D), U = [Uz; Ur; Uh] (3H x H), b (3H).
-Only the version-1 checkpoint names them by gate, on disk. The input
-projections W e_t + b do not depend on the state, so the forward pass
-computes them for every step in one matmul before the recurrence, which
-then only multiplies by Uz and Ur (one batched matmul) and by Uh. Padded
-steps get z = 0 through a -inf update pre-activation, which carries the
-state through them exactly, so neither pass masks inside its loop. The
-backward pass collects the gradients of the three pre-activations of
-every step in one array and forms dW, dU, db and the input gradient from
-it with a few matmuls after the loop.
+h order: W = [Wz; Wr; Wh] (3H x D), U = [Uz; Ur; Uh] (3H x H), b (3H);
+checkpoints store them as they are, under the names w, u and b. The
+input projections W e_t + b do not depend on the state, so the forward
+pass computes them for every step in one matmul before the recurrence,
+which then only multiplies by Uz and Ur (one batched matmul) and by Uh.
+Padded steps get z = 0 through a -inf update pre-activation, which
+carries the state through them exactly, so neither pass masks inside its
+loop. The backward pass collects the gradients of the three
+pre-activations of every step in one array and forms dW, dU, db and the
+input gradient from it with a few matmuls after the loop.
 
 Training cuts each sequence to ``MAX_SEQUENCE_TOKENS`` when it indexes an
 example set. Everything else encodes through three methods of
@@ -55,7 +55,7 @@ so its memory is bounded by one block whatever the number of sequences.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -284,7 +284,6 @@ class AttentionParams:
     score: np.ndarray  # (dim,)
 
     variant = "attention"
-    NAMES = ("proj", "score")
 
     def __post_init__(self):
         shape = np.shape(self.proj)
@@ -351,10 +350,6 @@ class DualEncoderModel:
     @property
     def tied(self) -> bool:
         return self.context_encoder is self.response_encoder
-
-    @property
-    def encoder_output_dim(self) -> int:
-        return self.context_encoder.output_dim
 
     @classmethod
     def create(
@@ -774,69 +769,36 @@ def train(
 
 
 # Checkpoint: a container (see dialret._container) with magic b"DRCKPT"
-# whose sorted-key JSON header is {"bilinear_dim", "dim", "hidden",
-# "tensors": [[name, shape], ...], "tied", "train_embeddings", "variant",
-# "vocab": [token, ...]}; the payload is the tensors in header order.
-# Version 1 stores each fused GRU tensor as its three gate row blocks:
-# w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h, as (name, tensor, block).
+# whose sorted-key JSON header adds {"tied", "train_embeddings",
+# "variant", "vocab": [token, ...]}; the payload is model.all_tensors()
+# under their in-memory names. Every dimension comes from the tensors.
 _CKPT_MAGIC = b"DRCKPT"
-_GRU_BLOCKS = tuple(
-    (f"{kind}_{gate}", kind, i) for i, gate in enumerate("zrh") for kind in "wub"
-)
-
-
-def _checkpoint_tensors(params: EncoderParams) -> dict[str, np.ndarray]:
-    """An encoder's tensors under their version-1 names, in file order."""
-    if params.variant != "gru":
-        return params.tensors()
-    blocks = {kind: np.split(tensor, 3) for kind, tensor in params.tensors().items()}
-    return {name: blocks[kind][i] for name, kind, i in _GRU_BLOCKS}
+_ENCODER_PARAMS = {params.variant: params for params in (GruParams, AttentionParams)}
 
 
 def save_checkpoint(model: DualEncoderModel, path) -> None:
-    tensors = {"embeddings.matrix": model.embeddings.matrix, "bilinear": model.bilinear}
-    encoders = (model.context_encoder, model.response_encoder)
-    for prefix, encoder in zip(_encoder_prefixes(model.tied), encoders):
-        tensors.update((prefix + name, t) for name, t in _checkpoint_tensors(encoder).items())
-    variant = model.context_encoder.variant
     header = {
-        "bilinear_dim": model.encoder_output_dim,
-        "dim": model.embeddings.dim,
-        "hidden": model.context_encoder.hidden if variant == "gru" else None,
-        "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
         "tied": model.tied,
         "train_embeddings": model.train_embeddings,
-        "variant": variant,
+        "variant": model.context_encoder.variant,
         "vocab": model.embeddings.tokens_in_index_order(),
     }
-    write_container(path, _CKPT_MAGIC, header, tensors.values())
+    write_container(path, _CKPT_MAGIC, header, model.all_tensors())
 
 
 def _encoder_from_checkpoint(
     header: dict, prefix: str, tensors: dict[str, np.ndarray]
 ) -> EncoderParams:
+    params = _ENCODER_PARAMS[header["variant"]]
     sub = {
         name[len(prefix) :]: tensor
         for name, tensor in tensors.items()
         if name.startswith(prefix)
     }
-    gru = header["variant"] == "gru"
-    names = [name for name, _, _ in _GRU_BLOCKS] if gru else list(AttentionParams.NAMES)
+    names = [f.name for f in dataclass_fields(params)]
     if sorted(sub) != sorted(names):
         raise DataError(f"checkpoint {prefix}* tensors are {sorted(sub)}, expected {names}")
-    if not gru:
-        return AttentionParams(**sub)
-    hidden, dim = header["hidden"], header["dim"]
-    shapes = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
-    for name, kind, _ in _GRU_BLOCKS:
-        if sub[name].shape != shapes[kind]:
-            raise DataError(
-                f"GRU tensor {prefix}{name} must have shape {shapes[kind]} "
-                f"for hidden {hidden} and input dim {dim}, got {sub[name].shape}"
-            )
-    return GruParams(*(
-        np.concatenate([sub[name] for name, k, _ in _GRU_BLOCKS if k == kind]) for kind in "wub"
-    ))
+    return params(**sub)
 
 
 def _model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> DualEncoderModel:
@@ -858,7 +820,4 @@ def _model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Dual
 def load_checkpoint(path, sha256: str | None = None) -> DualEncoderModel:
     """The model saved at ``path``; DataError if it is malformed or, when
     ``sha256`` is given, if the file's SHA-256 differs from it."""
-    return read_container(
-        path, _CKPT_MAGIC, "checkpoint", lambda header: header["tensors"],
-        _model_from_checkpoint, sha256,
-    )
+    return read_container(path, _CKPT_MAGIC, "checkpoint", _model_from_checkpoint, sha256)

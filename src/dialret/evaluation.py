@@ -1,10 +1,10 @@
 """Recall@k evaluation and human-mark scoring.
 
-For every test pair, ``num_alternatives`` distinct wrong responses are
-drawn from a configurable transform of the training response
-distribution (:func:`dialret.sampling.draw_distinct_alternatives`, which
-raises ``CandidatePoolError`` on a transform too concentrated to yield
-them). The true response plus the alternatives are ranked by the scorer
+For every test pair, :func:`draw_candidates` draws ``num_alternatives``
+distinct wrong responses from a configurable transform of the training
+response distribution (:func:`dialret.sampling.draw_distinct_alternatives`,
+which raises ``CandidatePoolError`` on a transform too concentrated to
+yield them). The true response plus the alternatives are ranked by the scorer
 under test; the pair counts as a hit at k when the true response lands
 in the top k. Ties are resolved against the true response, so a
 constant scorer gets recall 0 rather than a freebie.
@@ -145,6 +145,28 @@ def _scores(score_fn, context_tokens, candidates: Sequence[str]) -> np.ndarray:
     return scores
 
 
+def draw_candidates(
+    test_pairs: Sequence[ContextResponsePair],
+    train_dist: ResponseDistribution,
+    cfg: EvalConfig,
+    embeddings=None,
+) -> list[list[str]]:
+    """Each test pair's true response followed by its drawn alternatives.
+
+    ``embeddings`` is only needed when the alternative transform is kde.
+    """
+    if not test_pairs:
+        raise DataError("test_pairs must be non-empty")
+    alt_dist = transform(train_dist, cfg.alternative_transform, embeddings)
+    return [
+        [pair.response_text] + draw_distinct_alternatives(
+            alt_dist, pair.response_text, cfg.num_alternatives,
+            derive_rng(cfg.seed, "eval-pair", pair.pair_id),
+        )
+        for pair in test_pairs
+    ]
+
+
 def evaluate(
     scorer,
     test_pairs: Sequence[ContextResponsePair],
@@ -156,17 +178,9 @@ def evaluate(
 
     ``embeddings`` is only needed when the alternative transform is kde.
     """
-    if not test_pairs:
-        raise DataError("test_pairs must be non-empty")
     resolved = resolve_scorer(scorer)
-    alt_dist = transform(train_dist, cfg.alternative_transform, embeddings)
     ranks: list[int] = []
-    for pair in test_pairs:
-        rng = derive_rng(cfg.seed, "eval-pair", pair.pair_id)
-        alternatives = draw_distinct_alternatives(
-            alt_dist, pair.response_text, cfg.num_alternatives, rng
-        )
-        candidates = [pair.response_text] + alternatives
+    for pair, candidates in zip(test_pairs, draw_candidates(test_pairs, train_dist, cfg, embeddings)):
         scores = _scores(resolved, pair.context_tokens, candidates)
         ranks.append(1 + int(np.sum(scores[1:] >= scores[0])))
     rank_array = np.array(ranks)

@@ -175,9 +175,9 @@ def query_nearest(
 
 
 # History index: a container (see dialret._container) with magic
-# b"DRHIDX" whose sorted-key JSON header is {"checkpoint_ref",
-# "checkpoint_sha256", "count", "dim", "pair_ids", "response_weight",
-# "responses"}; the payload is the count x dim vector matrix.
+# b"DRHIDX" whose sorted-key JSON header adds {"checkpoint_ref",
+# "checkpoint_sha256", "pair_ids", "response_weight", "responses"}; the
+# payload is one tensor, "vectors", with a row per pair id.
 _IDX_MAGIC = b"DRHIDX"
 
 
@@ -193,13 +193,11 @@ def save_index(index: HistoryIndex, path) -> None:
     header = {
         "checkpoint_ref": index.checkpoint_ref,
         "checkpoint_sha256": index.checkpoint_sha256,
-        "count": len(index),
-        "dim": index.dim,
         "pair_ids": [int(i) for i in index.pair_ids],
         "response_weight": index.response_weight,
         "responses": index.responses,
     }
-    write_container(path, _IDX_MAGIC, header, [index.vectors])
+    write_container(path, _IDX_MAGIC, header, {"vectors": index.vectors})
 
 
 def load_index(path, model: DualEncoderModel | None = None) -> HistoryIndex:
@@ -214,7 +212,4 @@ def load_index(path, model: DualEncoderModel | None = None) -> HistoryIndex:
             checkpoint_sha256=header["checkpoint_sha256"],
         )
 
-    return read_container(
-        path, _IDX_MAGIC, "history index",
-        lambda header: [("vectors", [header["count"], header["dim"]])], build,
-    )
+    return read_container(path, _IDX_MAGIC, "history index", build)

@@ -38,6 +38,31 @@ def write_config(path, corpus, **overrides):
     return path
 
 
+def split_container(data: bytes) -> tuple[dict, list[list]]:
+    """A container's header and its payload as [name, shape, raw bytes] entries."""
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + header_len])
+    tensors, offset = [], 16 + header_len
+    for name, shape in header["tensors"]:
+        size = 8 * int(np.prod(shape))
+        tensors.append([name, shape, data[offset : offset + size]])
+        offset += size
+    return header, tensors
+
+
+def join_container(data: bytes, header: dict, tensors: list[list]) -> bytes:
+    """``data``'s magic and version over ``header`` and ``tensors``, whose
+    tensor list and payload hash are rewritten to match them."""
+    raw = b"".join(r for _, _, r in tensors)
+    header = dict(
+        header,
+        payload_sha256=hashlib.sha256(raw).hexdigest(),
+        tensors=[[name, shape] for name, shape, _ in tensors],
+    )
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return data[:8] + struct.pack("<Q", len(blob)) + blob + raw
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Synthetic corpus plus a config, with ingest/train already run."""
@@ -308,6 +333,22 @@ class TestSubcommands:
         assert "distinct alternatives" in err
         assert "Traceback" not in err
 
+    def test_grid_checks_alternative_columns_before_training(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        assert main([
+            "make-synthetic-corpus", "--out", str(corpus),
+            "--dialogues", "120", "--responses", "12", "--vocab", "40",
+        ]) == 0
+        config = write_config(
+            tmp_path / "config.json", corpus,
+            grid={"train_transforms": ["identity", "uniform"],
+                  "alt_transforms": ["identity", "power:12"]},
+        )
+        assert main(["grid", "--config", str(config)]) == 4
+        assert "distinct alternatives" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not list(out.glob("model_*.ckpt")) and not list(out.glob("trainset_*"))
+
     def test_annotation_model_paths_resolve_against_the_config(
         self, workspace, tmp_path, monkeypatch
     ):
@@ -370,13 +411,15 @@ class TestSubcommands:
         assert main(["eval", "--config", str(config), "--checkpoint",
                      str(tmp_path / "nan.ckpt")]) == 4
         assert "'bilinear' holds non-finite" in capsys.readouterr().err
-        # The loaded index is read-only, so write row 3 of the payload as NaN.
-        data = bytearray((workspace / "out" / "history_identity.idx").read_bytes())
-        (header_len,) = struct.unpack("<Q", data[8:16])
-        dim = json.loads(data[16 : 16 + header_len])["dim"]
-        row = 16 + header_len + 3 * dim * 8
-        data[row : row + dim * 8] = np.full(dim, np.nan, dtype="<f8").tobytes()
-        (tmp_path / "nan.idx").write_bytes(bytes(data))
+        # The loaded index is read-only, so write row 3 of the payload as NaN
+        # and hash the new payload.
+        data = (workspace / "out" / "history_identity.idx").read_bytes()
+        header, [vectors] = split_container(data)
+        dim = vectors[1][1]
+        raw = bytearray(vectors[2])
+        raw[3 * dim * 8 : 4 * dim * 8] = np.full(dim, np.nan, dtype="<f8").tobytes()
+        vectors[2] = bytes(raw)
+        (tmp_path / "nan.idx").write_bytes(join_container(data, header, [vectors]))
         assert main(["retrieve", "--index", str(tmp_path / "nan.idx"), "--query", "ask1"]) == 4
         assert "'vectors' holds non-finite" in capsys.readouterr().err
 
@@ -416,24 +459,28 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("defect", [
         "cut@3", "cut@10", "cut@16", "cut@40", "cut@header-end", "cut@payload+8",
-        "cut@last-byte", "missing-key", "trailing-byte",
+        "cut@last-byte", "missing-key", "trailing-byte", "version-1", "flip@payload+8",
     ])
     @pytest.mark.parametrize("kind", ["checkpoint", "index"])
     def test_malformed_container_exit_4(self, workspace, tmp_path, capsys, kind, defect):
-        name, key = {
-            "checkpoint": ("model_identity.ckpt", "tensors"),
-            "index": ("history_identity.idx", "count"),
-        }[kind]
+        name = {"checkpoint": "model_identity.ckpt", "index": "history_identity.idx"}[kind]
         data = (workspace / "out" / name).read_bytes()
         (header_len,) = struct.unpack("<Q", data[8:16])
         end = 16 + header_len
         if defect == "missing-key":
             header = json.loads(data[16:end])
-            del header[key]
+            del header["tensors"]
             blob = json.dumps(header, sort_keys=True).encode("utf-8")
             data = data[:8] + struct.pack("<Q", len(blob)) + blob + data[end:]
         elif defect == "trailing-byte":
             data += b"\x00"
+        elif defect == "version-1":
+            # Version 1 is not read, whatever follows its prefix.
+            data = data[:6] + struct.pack("<H", 1) + data[8:]
+        elif defect == "flip@payload+8":
+            data = bytearray(data)
+            data[end + 8] ^= 0x01
+            data = bytes(data)
         else:
             cut = defect.partition("@")[2]
             offsets = {"header-end": end, "payload+8": end + 8, "last-byte": len(data) - 1}
@@ -448,37 +495,26 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert ("checkpoint" if kind == "checkpoint" else "history index") in err
+        assert {"version-1": "version 1", "flip@payload+8": "payload hash"}.get(defect, "") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect", ["missing", "misshapen"])
     def test_bad_gru_tensor_in_checkpoint_exit_4(self, workspace, tmp_path, capsys, defect):
         data = (workspace / "out" / "model_identity.ckpt").read_bytes()
-        (header_len,) = struct.unpack("<Q", data[8:16])
-        header = json.loads(data[16 : 16 + header_len])
-        payload = data[16 + header_len :]
-        tensors, offset = [], 0
-        for name, shape in header["tensors"]:
-            size = 8 * int(np.prod(shape))
-            tensors.append([name, shape, payload[offset : offset + size]])
-            offset += size
+        header, tensors = split_container(data)
         if defect == "missing":
-            tensors = [t for t in tensors if t[0] != "encoder.u_h"]
+            tensors = [t for t in tensors if t[0] != "encoder.u"]
         else:
-            tensor = next(t for t in tensors if t[0] == "encoder.b_r")
+            tensor = next(t for t in tensors if t[0] == "encoder.b")
             tensor[1] = [tensor[1][0] - 1]
             tensor[2] = tensor[2][:-8]
-        header["tensors"] = [[name, shape] for name, shape, _ in tensors]
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(
-            data[:8] + struct.pack("<Q", len(blob)) + blob
-            + b"".join(raw for _, _, raw in tensors)
-        )
+        bad.write_bytes(join_container(data, header, tensors))
         config = workspace / "config.json"
         assert main(["eval", "--config", str(config), "--checkpoint", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "data error" in err
-        assert ("u_h" if defect == "missing" else "b_r") in err
+        assert ("'u'" if defect == "missing" else "tensor b ") in err
 
     @pytest.mark.parametrize("bad, code", [("corpus", 4), ("embeddings", 4), ("config", 2)])
     def test_non_utf8_input_exit_code(self, workspace, tmp_path, capsys, bad, code):

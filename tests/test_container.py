@@ -1,44 +1,55 @@
 """Golden bytes of the checkpoint and history-index containers.
 
-Both formats share one layout: a six-byte magic, a uint16 version (1), a
+Both formats share one layout: a six-byte magic, a uint16 version (2), a
 uint64 header length, the UTF-8 JSON header with sorted keys, then the
-float64 little-endian row-major payload. The expected bytes are assembled
-here from that description alone.
+float64 little-endian row-major payload. The header lists the payload as
+``tensors``, ``[[name, shape], ...]`` in file order, and holds its
+SHA-256 as ``payload_sha256``. The expected bytes are assembled here from
+that description alone.
 """
 
+import errno
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from dialret import _container
 from dialret.encoder import DualEncoderModel, random_embeddings, save_checkpoint
-from dialret.retrieval import HistoryIndex, save_index
+from dialret.retrieval import HistoryIndex, load_index, save_index
 
 
-def container(magic: bytes, header: dict, payload: list[np.ndarray]) -> bytes:
+def container(magic: bytes, header: dict, payload: list[tuple[str, np.ndarray]]) -> bytes:
+    data = b"".join(np.asarray(t, dtype="<f8").tobytes() for _, t in payload)
+    header = dict(
+        header,
+        payload_sha256=hashlib.sha256(data).hexdigest(),
+        tensors=[[name, list(np.shape(t))] for name, t in payload],
+    )
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return (
-        magic + struct.pack("<H", 1) + struct.pack("<Q", len(blob)) + blob
-        + b"".join(np.asarray(t, dtype="<f8").tobytes() for t in payload)
+    return magic + struct.pack("<H", 2) + struct.pack("<Q", len(blob)) + blob + data
+
+
+def small_index(vectors) -> HistoryIndex:
+    return HistoryIndex(
+        response_weight=0.4, pair_ids=[1, 4, 9], vectors=vectors,
+        responses=["grüß dich", "ok", "fact1 ok"],
+        checkpoint_ref="model.ckpt", checkpoint_sha256="cd" * 32,
     )
 
 
 def test_index_bytes(tmp_path):
     vectors = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
-    index = HistoryIndex(
-        response_weight=0.4, pair_ids=[1, 4, 9], vectors=vectors,
-        responses=["grüß dich", "ok", "fact1 ok"],
-        checkpoint_ref="model.ckpt", checkpoint_sha256="cd" * 32,
-    )
     path = tmp_path / "history.idx"
-    save_index(index, path)
+    save_index(small_index(vectors), path)
     header = {
         "checkpoint_ref": "model.ckpt", "checkpoint_sha256": "cd" * 32,
-        "count": 3, "dim": 2, "pair_ids": [1, 4, 9], "response_weight": 0.4,
+        "pair_ids": [1, 4, 9], "response_weight": 0.4,
         "responses": ["grüß dich", "ok", "fact1 ok"],
     }
-    assert path.read_bytes() == container(b"DRHIDX", header, [vectors])
+    assert path.read_bytes() == container(b"DRHIDX", header, [("vectors", vectors)])
 
 
 @pytest.mark.parametrize("variant, tied", [("gru", True), ("attention", False)])
@@ -50,8 +61,8 @@ def test_checkpoint_bytes(tmp_path, variant, tied):
     save_checkpoint(model, path)
 
     if variant == "gru":
-        shapes = {"w": [2, 3], "u": [2, 2], "b": [2]}
-        encoder = [(f"encoder.{kind}_{gate}", shapes[kind]) for gate in "zrh" for kind in "wub"]
+        shapes = {"w": [6, 3], "u": [6, 2], "b": [6]}
+        encoder = [(f"encoder.{name}", shapes[name]) for name in "wub"]
         params = {"encoder": model.context_encoder}
     else:
         encoder = [
@@ -63,11 +74,7 @@ def test_checkpoint_bytes(tmp_path, variant, tied):
                   "response_encoder": model.response_encoder}
     enc_dim = 2 if variant == "gru" else 3
     layout = [("embeddings.matrix", [4, 3]), ("bilinear", [enc_dim, enc_dim])] + encoder
-    header = {
-        "bilinear_dim": enc_dim, "dim": 3, "hidden": 2 if variant == "gru" else None,
-        "tensors": [[name, shape] for name, shape in layout],
-        "tied": tied, "train_embeddings": False, "variant": variant, "vocab": vocab,
-    }
+    header = {"tied": tied, "train_embeddings": False, "variant": variant, "vocab": vocab}
 
     def tensor(name):
         if name == "embeddings.matrix":
@@ -75,13 +82,41 @@ def test_checkpoint_bytes(tmp_path, variant, tied):
         if name == "bilinear":
             return model.bilinear
         prefix, _, attr = name.partition(".")
-        if variant == "gru":
-            # Gate block g of fused w, u or b: rows g*H up to (g+1)*H.
-            kind, _, gate = attr.partition("_")
-            return np.split(getattr(params[prefix], kind), 3)["zrh".index(gate)]
         return getattr(params[prefix], attr)
 
-    payload = [tensor(name) for name, _ in layout]
-    for t, (_, shape) in zip(payload, layout):
+    payload = [(name, tensor(name)) for name, _ in layout]
+    for (_, t), (_, shape) in zip(payload, layout):
         assert list(t.shape) == shape
     assert path.read_bytes() == container(b"DRCKPT", header, payload)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "history.idx"
+    save_index(small_index(np.eye(3)), path)
+    before = path.read_bytes()
+
+    class FullDisk:
+        """A file whose writes fail after the first, as on a full disk."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(_container, "open", lambda *a: FullDisk(open(*a)), raising=False)
+    with pytest.raises(OSError):
+        save_index(small_index(np.eye(3)[::-1].copy()), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.idx"]
+    assert np.array_equal(load_index(path).vectors, np.eye(3))
