@@ -14,10 +14,11 @@ as ``"tensors": [[name, shape], ...]`` in file order, with its SHA-256 as
 ``"payload_sha256"``. A malformed file, a payload that does not match its
 hash or holds a non-finite value, and a file SHA-256 other than the caller
 expects raise :class:`DataError`, all checked on the bytes the reader
-decodes, so the file is read once. Version 1 is not read: re-run ``train``
-or ``grid`` to regenerate such a file. A write goes to a temporary file
-that then replaces the destination, so a failed write leaves the previous
-file intact.
+decodes, so the file is read once. The payload hash is checked on every
+load; the whole-file hash is taken only when the caller passes one.
+Version 1 is not read: re-run ``train`` or ``grid`` to regenerate such a
+file. A write goes to a temporary file that then replaces the
+destination, so a failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -77,12 +78,13 @@ def read_container(
     and a ``KeyError``, ``TypeError`` or ``ValueError`` raised while
     reading the header or by ``build`` all become :class:`DataError`.
     """
-    digest = hashlib.sha256()
+    # The whole-file digest is taken only when there is one to compare.
+    whole = (hashlib.sha256(),) if sha256 else ()
     payload = hashlib.sha256()
     with open(path, "rb") as fh:
         def read(size: int, *hashes) -> bytes:
             data = fh.read(size)
-            for h in (digest, *hashes):
+            for h in (*whole, *hashes):
                 h.update(data)
             return data
 
@@ -119,8 +121,7 @@ def read_container(
             if payload.hexdigest() != header["payload_sha256"]:
                 raise DataError(f"{kind} {path} payload hash {payload.hexdigest()[:12]}... "
                                 f"does not match its header")
-            actual = digest.hexdigest()
-            if sha256 and actual != sha256:
+            if whole and (actual := whole[0].hexdigest()) != sha256:
                 raise DataError(f"{kind} {path} hash {actual[:12]}... does not match "
                                 f"the recorded {sha256[:12]}...")
             for name, tensor in tensors.items():

@@ -130,7 +130,7 @@ def draw_negatives(
     sampler = dist.sampler()
     excluded = dist.index_of(true_response) if true_response in dist else -1
     draws = sampler.draw(rng, n)
-    if excluded >= 0:
+    if excluded >= 0 and excluded in draws.tolist():
         bad = np.flatnonzero(draws == excluded)
         rounds = 0
         while bad.size:
@@ -141,7 +141,7 @@ def draw_negatives(
             draws[bad] = redraw
             bad = bad[redraw == excluded]
     responses = dist.responses
-    return [responses[i] for i in draws]
+    return [responses[i] for i in draws.tolist()]
 
 
 def draw_distinct_alternatives(
@@ -187,6 +187,8 @@ def build_training_set(
     ``embeddings`` is only required for the kde transform.
     """
     sample_dist = transform(dist, strategy.transform, embeddings)
+    # One token tuple per response, shared by every negative that draws it.
+    response_tokens = {r: tuple(r.split(" ")) for r in sample_dist.responses}
     examples: list[TrainingExample] = []
     for pair in pairs:
         if strategy.filter_by_inverse_count:
@@ -197,26 +199,14 @@ def build_training_set(
                 )
             if rng.random() >= 1.0 / count:
                 continue
-        examples.append(
-            TrainingExample(
-                context_tokens=pair.context_tokens,
-                response_tokens=pair.response_tokens,
-                label=1,
-                source_pair_id=pair.pair_id,
-            )
-        )
+        context, pair_id = pair.context_tokens, pair.pair_id
+        examples.append(TrainingExample(context, pair.response_tokens, 1, pair_id))
         negatives = draw_negatives(
             sample_dist, pair.response_text, strategy.neg_per_pos, rng
         )
-        for neg in negatives:
-            examples.append(
-                TrainingExample(
-                    context_tokens=pair.context_tokens,
-                    response_tokens=tuple(neg.split(" ")),
-                    label=0,
-                    source_pair_id=pair.pair_id,
-                )
-            )
+        examples.extend(
+            TrainingExample(context, response_tokens[neg], 0, pair_id) for neg in negatives
+        )
     return examples
 
 

@@ -386,6 +386,20 @@ class TestSubcommands:
         ])
         assert code == 4
 
+    def test_retrieve_checkpoint_with_another_file_hash_exit_4(self, workspace, tmp_path, capsys):
+        # A well-formed checkpoint, payload hash included, that is not the
+        # one the index recorded.
+        model = load_checkpoint(workspace / "out" / "model_identity.ckpt")
+        model.bilinear[0, 0] += 1.0
+        save_checkpoint(model, tmp_path / "other.ckpt")
+        assert main([
+            "retrieve", "--index", str(workspace / "out" / "history_identity.idx"),
+            "--query", "ask1", "--checkpoint", str(tmp_path / "other.ckpt"),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "does not match the recorded" in err
+
     def test_retrieve_reads_the_checkpoint_once(self, workspace, monkeypatch, capsys):
         ckpt = workspace / "out" / "model_identity.ckpt"
         opened = []

@@ -18,6 +18,7 @@ import pytest
 
 from dialret import _container
 from dialret.encoder import DualEncoderModel, random_embeddings, save_checkpoint
+from dialret.errors import DataError
 from dialret.retrieval import HistoryIndex, load_index, save_index
 
 
@@ -120,3 +121,31 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["history.idx"]
     assert np.array_equal(load_index(path).vectors, np.eye(3))
+
+
+def test_load_without_a_file_hash_checks_only_the_payload_hash(tmp_path, monkeypatch):
+    path = tmp_path / "history.idx"
+    save_index(small_index(np.eye(3)), path)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01
+    path.write_bytes(bytes(data))
+    made = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(_container.hashlib, "sha256", lambda: made.append(sha256()) or made[-1])
+    with pytest.raises(DataError, match="payload hash"):
+        load_index(path)
+    assert len(made) == 1
+
+
+def test_wrong_file_hash_is_a_data_error(tmp_path):
+    path = tmp_path / "history.idx"
+    save_index(small_index(np.eye(3)), path)
+
+    def read(sha256):
+        return _container.read_container(
+            path, b"DRHIDX", "history index", lambda header, tensors: tensors["vectors"], sha256
+        )
+
+    assert np.array_equal(read(hashlib.sha256(path.read_bytes()).hexdigest()), np.eye(3))
+    with pytest.raises(DataError, match="does not match the recorded"):
+        read("ab" * 32)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialret import distribution
 from dialret.corpus import extract_all_pairs
 from dialret.distribution import (
     ResponseDistribution,
@@ -224,6 +226,57 @@ class TestKdeTransform:
         dist = dist_from([0.5, 0.5], responses=["w1", "w2"], counts=[4, 9])
         out = transform(dist, TransformSpec.kde_smoothed(0.4), emb)
         assert list(out.counts) == [4, 9]
+
+
+def dense_kde_weights(dist, bandwidth, emb):
+    """The kde weights through full n×n temporaries, as one expression."""
+    v = response_vectors(dist.responses, emb)
+    sq_norms = np.sum(v * v, axis=1)
+    sq_dist = sq_norms[:, None] - 2.0 * (v @ v.T) + sq_norms[None, :]
+    np.maximum(sq_dist, 0.0, out=sq_dist)
+    return np.exp(-sq_dist / (2.0 * bandwidth**2)) @ dist.probs
+
+
+def word_pair_distribution(words, seed):
+    """A distribution over every two-word response ``"wA wB"``, A, B < words."""
+    responses = [f"w{a} w{b}" for a in range(words) for b in range(words)]
+    weights = np.random.default_rng(seed).random(len(responses)) + 1e-3
+    return dist_from(weights / weights.sum(), responses=responses)
+
+
+class TestKdeBlocks:
+    def embeddings(self, words):
+        return random_embeddings([f"w{i}" for i in range(words)], 16, 1.0, seed=9)
+
+    def test_one_block_is_the_dense_expression_bit_for_bit(self):
+        dist = word_pair_distribution(20, seed=1)
+        assert distribution.KDE_BLOCK_BYTES // (8 * len(dist)) >= len(dist)
+        emb = self.embeddings(20)
+        weights = distribution._kde_weights(dist, 0.4, emb)
+        assert np.array_equal(weights, dense_kde_weights(dist, 0.4, emb))
+
+    def test_several_blocks_agree_with_the_dense_expression(self, monkeypatch):
+        dist = word_pair_distribution(20, seed=2)
+        # 400 responses in row blocks of 130: three full blocks and one row.
+        monkeypatch.setattr(distribution, "KDE_BLOCK_BYTES", 8 * len(dist) * 130)
+        emb = self.embeddings(20)
+        weights = distribution._kde_weights(dist, 0.4, emb)
+        dense = dense_kde_weights(dist, 0.4, emb)
+        assert np.max(np.abs(weights - dense) / dense) <= 1e-12
+
+    def test_memory_stays_bounded_on_a_wide_support(self):
+        dist = word_pair_distribution(78, seed=3)
+        assert len(dist) == 6084
+        emb = self.embeddings(78)
+        tracemalloc.start()
+        try:
+            out = transform(dist, TransformSpec.kde_smoothed(0.4), emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.responses == dist.responses
+        # One dense n×n float64 temporary alone would take 296 MB.
+        assert peak < 64 * 2**20
 
 
 class TestDistributionReport:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -295,6 +297,54 @@ class TestBuildTrainingSet:
         for epoch in range(3):
             resample(epoch)
         assert len(calls) == 1
+
+
+# SHA-256 of the written training set per (transform, inverse-count
+# filter) on the golden corpus below. They pin the generator stream of
+# build_training_set: which calls it makes, in which order, of which size.
+GOLDEN_TRAINSETS = {
+    ("identity", False): (
+        "bb2221b663d8fc9ce52c3650f1359b9c0ab05ad4d204092ca7de28a2995f3bd5"
+    ),
+    ("uniform", False): (
+        "5846f87e205f4176e1b4870591379db7314fe519b789ad981bff4c7027606f6c"
+    ),
+    ("power:-0.5", False): (
+        "8eaeb28f817de05a86c1209ebd9a33181817f1491e0e77f1613c9c628268f27f"
+    ),
+    ("kde:0.4", False): (
+        "25abc4096f7aae84a1b3efe532429863c3765f0df4cdeb29aff3177c544d3e7d"
+    ),
+    ("identity", True): (
+        "d1371daffa3ee708790a5864a1c894b3860f75e330408cad112891b011169b50"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_corpus():
+    """5970 pairs over 2378 distinct responses: several kde row blocks."""
+    dialogues = make_synthetic_corpus(3000, 3000, 6050, 0.5, seed=11)
+    pairs = extract_all_pairs(dialogues)
+    emb = random_embeddings(corpus_vocabulary(dialogues), 16, 1.0, seed=12)
+    return pairs, count_responses(pairs), emb
+
+
+@pytest.mark.parametrize("label, filtered", list(GOLDEN_TRAINSETS))
+def test_golden_trainset(golden_corpus, tmp_path, label, filtered):
+    pairs, dist, emb = golden_corpus
+    assert len(dist) == 2378
+    # At least three kde row blocks.
+    assert 2 * (distribution.KDE_BLOCK_BYTES // (8 * len(dist))) < len(dist)
+    strategy = SamplingStrategy(
+        transform=TransformSpec.parse(label), neg_per_pos=5,
+        filter_by_inverse_count=filtered,
+    )
+    examples = build_training_set(pairs, dist, strategy, derive_rng(0, "golden", label), emb)
+    path = tmp_path / "trainset.jsonl"
+    write_training_set(path, examples)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRAINSETS[label, filtered]
 
 
 class TestTrainingExampleIO:
