@@ -16,9 +16,9 @@ always uses them.
 
 The kde sum is taken over row blocks of at most ``KDE_BLOCK_BYTES`` of
 distances, so its memory is O(n) plus one block, not O(n^2). Over 6084
-responses ``tracemalloc`` reads a 33 MiB peak, where the dense n×n
+responses ``tracemalloc`` reads a 17 MiB peak, where the dense n×n
 temporaries took 848 MiB; ``build-trainset --transform kde:0.4`` over
-18 020 distinct responses peaks at 188 MB RSS, where one dense
+18 020 distinct responses peaks at 178 MB RSS, where one dense
 temporary alone would take 2.6 GB.
 """
 
@@ -39,8 +39,8 @@ _PROB_SUM_TOL = 1e-9
 # Floor applied before renormalizing a transformed weight vector so that
 # extreme degrees cannot underflow an entry to exactly zero.
 _PROB_FLOOR = 1e-300
-# Bytes of one row block of the kde distance matrix. About three such
-# float64 temporaries are alive at once, whatever the support size.
+# Bytes of one row block of the kde distance matrix, the one float64
+# temporary the kde sum keeps alive, whatever the support size.
 KDE_BLOCK_BYTES = 8 << 20
 
 
@@ -241,10 +241,11 @@ def _kde_weights(
     """Kernel-smoothed weights, ``KDE_BLOCK_BYTES`` of distances at a time.
 
     Each block of rows holds its squared distances to the whole support,
-    turned into kernel values in turn, so the working set is O(n) plus one
-    block's temporaries. A support that fits in one block runs the dense
-    ``v @ v.T`` expression bit for bit; on wider ones BLAS may round a
-    block's product differently in the last ulp.
+    turned into kernel values in place, so the working set is O(n) plus
+    one block. The in-place steps round exactly as the dense expression
+    ``exp(-(|a|^2 - 2 v @ v.T + |b|^2) / (2 h^2))`` does, so a support
+    that fits in one block gives it bit for bit; on wider ones BLAS may
+    round a block's product differently in the last ulp.
     """
     v = response_vectors(dist.responses, embeddings)
     sq_norms = np.sum(v * v, axis=1)
@@ -252,9 +253,13 @@ def _kde_weights(
     weights = np.empty(len(v))
     for start in range(0, len(v), rows):
         block = slice(start, start + rows)
-        sq_dist = sq_norms[block, None] - 2.0 * (v[block] @ v.T) + sq_norms[None, :]
-        np.maximum(sq_dist, 0.0, out=sq_dist)
-        kernel = np.exp(-sq_dist / (2.0 * bandwidth**2))
+        kernel = v[block] @ v.T
+        kernel *= -2.0
+        kernel += sq_norms[block, None]
+        kernel += sq_norms[None, :]
+        np.maximum(kernel, 0.0, out=kernel)
+        kernel /= -(2.0 * bandwidth**2)
+        np.exp(kernel, out=kernel)
         weights[block] = kernel @ dist.probs
     return weights
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -259,6 +260,26 @@ class TestBuildTrainingSet:
                 SamplingStrategy(neg_per_pos=1, filter_by_inverse_count=True),
                 derive_rng(0),
             )
+
+    def test_collector_state_is_restored(self):
+        pairs = make_pairs([f"resp {i % 10}" for i in range(40)])
+        dist = count_responses(pairs)
+        strategy = SamplingStrategy(neg_per_pos=2)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            build_training_set(pairs, dist, strategy, derive_rng(0))
+            assert gc.isenabled()
+            bad = dist_from([0.5, 0.5], responses=["resp 0", "resp 1"], counts=[0, 0])
+            filtered = SamplingStrategy(neg_per_pos=1, filter_by_inverse_count=True)
+            with pytest.raises(DataError):
+                build_training_set(pairs, bad, filtered, derive_rng(0))
+            assert gc.isenabled()
+            gc.disable()
+            build_training_set(pairs, dist, strategy, derive_rng(0))
+            assert not gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_epoch_resampler_deterministic(self):
         pairs = make_pairs([f"resp {i % 5}" for i in range(20)])
