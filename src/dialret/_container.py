@@ -1,6 +1,12 @@
-"""The binary container shared by checkpoints and history indexes.
+"""The one artifact writer, and the binary container shared by checkpoints
+and history indexes.
 
-Bytes, version 2:
+Every file dialret writes goes through :func:`write_artifact`: its chunks
+stream to a temporary file beside the destination that then replaces it,
+so a failed write, or an error raised while the chunks are produced,
+leaves the previous file intact and no temporary file behind.
+
+Container bytes, version 2:
 
     bytes 0..5      magic, six bytes naming the format
     bytes 6..7      format version, uint16 little-endian
@@ -17,8 +23,7 @@ expects raise :class:`DataError`, all checked on the bytes the reader
 decodes, so the file is read once. The payload hash is checked on every
 load; the whole-file hash is taken only when the caller passes one.
 Version 1 is not read: re-run ``train`` or ``grid`` to regenerate such a
-file. A write goes to a temporary file that then replaces the
-destination, so a failed write leaves the previous file intact.
+file.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import math
 import os
 import struct
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -36,6 +41,20 @@ from .errors import DataError
 
 VERSION = 2
 _PREFIX_BYTES = 16
+
+
+def write_artifact(path, chunks: Iterable) -> None:
+    """Write ``chunks`` (``str`` as UTF-8, or bytes-like) to ``path``, all or nothing."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_container(path, magic: bytes, header: dict, tensors: Mapping[str, np.ndarray]) -> None:
@@ -47,17 +66,7 @@ def write_container(path, magic: bytes, header: dict, tensors: Mapping[str, np.n
     header = dict(header, payload_sha256=payload.hexdigest(),
                   tensors=[[name, list(array.shape)] for name, array in arrays.items()])
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(magic + struct.pack("<HQ", VERSION, len(blob)) + blob)
-            for array in arrays.values():
-                fh.write(array)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_artifact(path, [magic + struct.pack("<HQ", VERSION, len(blob)) + blob, *arrays.values()])
 
 
 def _size(shape) -> int:

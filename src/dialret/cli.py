@@ -33,6 +33,7 @@ from . import evaluation as eval_mod
 from . import retrieval as retr_mod
 from . import sampling as samp_mod
 from . import synthetic as synth_mod
+from ._container import write_artifact
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DialretError, NumericError
 from .seeding import derive_rng, derive_seed
@@ -52,11 +53,8 @@ def _write_manifest(
         "outputs": {str(p): retr_mod.file_sha256(p) for p in outputs},
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = cfg.output_dir / f"{command}.manifest.json"
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    write_artifact(cfg.output_dir / f"{command}.manifest.json", [text])
 
 
 class _Corpus:
@@ -122,9 +120,7 @@ def cmd_ingest(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     out = cfg.output_dir
     data = _Corpus(cfg)
     errors_path = out / "ingest_errors.txt"
-    with open(errors_path, "w", encoding="utf-8") as fh:
-        for err in data.parsed.errors:
-            fh.write(str(err) + "\n")
+    write_artifact(errors_path, (str(err) + "\n" for err in data.parsed.errors))
     outputs = [errors_path]
     for name, part in data.splits.items():
         path = out / f"{name}.ids"
@@ -143,7 +139,7 @@ def cmd_stats(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     report = dist_mod.distribution_report(dist)
     text = dist_mod.format_report(report)
     path = cfg.output_dir / f"stats_{args.split}.tsv"
-    path.write_text(text, encoding="utf-8")
+    write_artifact(path, [text])
     sys.stdout.write(text)
     print(f"wrote {path}")
     return [], [path]
@@ -224,9 +220,7 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
     ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
     enc_mod.save_checkpoint(model, ckpt_path)
     trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        for iteration, loss in result.loss_trace:
-            fh.write(f"{iteration}\t{loss!r}\n")
+    write_artifact(trace_path, (f"{it}\t{loss!r}\n" for it, loss in result.loss_trace))
     artifacts = [trainset_path, ckpt_path, trace_path]
     index_path = None
     if cfg.build_index:
@@ -307,7 +301,7 @@ def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     report = eval_mod.evaluate(scorer, test_pairs, train_dist, eval_cfg, embeddings)
     text = eval_mod.format_eval_report(report)
     path = cfg.output_dir / f"eval_{scorer_name}_{_safe_label(alt_label)}.txt"
-    path.write_text(text, encoding="utf-8")
+    write_artifact(path, [text])
     sys.stdout.write(text)
     print(f"wrote {path}")
     return inputs, [path]
@@ -344,11 +338,11 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
         path = out / (
             f"grid_{_safe_label(scorer_name)}__alt_{_safe_label(alt_name)}.txt"
         )
-        path.write_text(eval_mod.format_eval_report(report), encoding="utf-8")
+        write_artifact(path, [eval_mod.format_eval_report(report)])
         artifacts.append(path)
     table = eval_mod.format_grid_table(grid, cfg.eval_ks)
     table_path = out / "grid_table.txt"
-    table_path.write_text(table, encoding="utf-8")
+    write_artifact(table_path, [table])
     artifacts.append(table_path)
     sys.stdout.write(table)
     print(f"wrote {table_path}")
@@ -406,7 +400,7 @@ def cmd_score_anno(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_artifact(args.out, [text])
         print(f"wrote {args.out}")
     return 0
 
@@ -420,10 +414,11 @@ def cmd_make_synthetic_corpus(args) -> int:
         seed=args.seed,
     )
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for d in dialogues:
-            fh.write(corpus_mod.dialogue_to_record(d) + "\n")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {out_path}: {out_path.parent} is not a directory") from None
+    write_artifact(out_path, (corpus_mod.dialogue_to_record(d) + "\n" for d in dialogues))
     print(f"wrote {len(dialogues)} dialogues -> {out_path}")
     return 0
 

@@ -218,6 +218,10 @@ def parse_config(
             if not cfg.embeddings_path.exists():
                 v.fail("paths.embeddings", f"file {cfg.embeddings_path} does not exist")
     cfg.output_dir = base_dir / cfg.output_dir
+    # The nearest existing ancestor: mkdir fails on any file in the way.
+    existing = next(p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.exists())
+    if not existing.is_dir():
+        v.fail("paths.output_dir", f"{existing} exists and is not a directory")
 
     cfg.split_ratio = tuple(
         v.value(sections["split"], "split.", name, int, default, minimum=1)

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._container import write_artifact
 from .errors import DataError
 
 # Separator inserted between turns when concatenating a context, so
@@ -295,6 +296,4 @@ def split_corpus(
 
 def write_split_manifest(path, dialogues: Sequence[Dialogue]) -> None:
     """Write a split as a plain-text list of dialogue ids, one per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in dialogues:
-            fh.write(d.id + "\n")
+    write_artifact(path, (d.id + "\n" for d in dialogues))

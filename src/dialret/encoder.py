@@ -134,10 +134,6 @@ class EmbeddingTable:
     def oov_index(self) -> int:
         return len(self.vocab)
 
-    @property
-    def oov_vector(self) -> np.ndarray:
-        return self.matrix[self.oov_index]
-
     def __len__(self) -> int:
         return len(self.vocab)
 

@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._container import write_artifact
 from .corpus import ContextResponsePair, read_text_lines
 from .distribution import ResponseDistribution, TransformSpec, transform
 from .encoder import DualEncoderModel, sigmoid
@@ -360,18 +361,16 @@ def export_annotation(
 
 def write_annotation_file(path, rows: Sequence[AnnotationRow]) -> None:
     """Assessor-facing TSV: question_id, rank, response, mark (blank)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("question_id\trank\tresponse\tmark\n")
-        for row in rows:
-            fh.write(f"{row.question_id}\t{row.rank}\t{row.response}\t{row.mark}\n")
+    write_artifact(path, ["question_id\trank\tresponse\tmark\n"] + [
+        f"{row.question_id}\t{row.rank}\t{row.response}\t{row.mark}\n" for row in rows
+    ])
 
 
 def write_annotation_key(path, rows: Sequence[AnnotationRow]) -> None:
     """Sidecar mapping each data line back to its source model."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("line\tmodel\n")
-        for line_no, row in enumerate(rows, start=2):
-            fh.write(f"{line_no}\t{row.model}\n")
+    write_artifact(path, ["line\tmodel\n"] + [
+        f"{line_no}\t{row.model}\n" for line_no, row in enumerate(rows, start=2)
+    ])
 
 
 def _tsv_rows(path, kind: str, width: int):

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ContextResponsePair, read_text_lines
+from ._container import write_artifact
+from .corpus import ContextResponsePair
 from .distribution import ResponseDistribution, TransformSpec, transform
 from .errors import CandidatePoolError, DataError
 
@@ -267,40 +268,18 @@ def make_epoch_resampler(
 
 def write_training_set(path, examples: Iterable[TrainingExample]) -> None:
     """Serialize examples as UTF-8 JSON lines (stable key order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "context_tokens": list(ex.context_tokens),
-                        "response_tokens": list(ex.response_tokens),
-                        "label": ex.label,
-                        "source_pair_id": ex.source_pair_id,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-
-
-def read_training_set(path) -> list[TrainingExample]:
-    """Parse a file written by :func:`write_training_set`; any defect raises DataError."""
-    examples = []
-    for line_no, line in enumerate(read_text_lines(path, "training set"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            examples.append(
-                TrainingExample(
-                    context_tokens=tuple(obj["context_tokens"]),
-                    response_tokens=tuple(obj["response_tokens"]),
-                    label=int(obj["label"]),
-                    source_pair_id=int(obj["source_pair_id"]),
-                )
-            )
-        except (DataError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"training set {path} line {line_no}: bad example ({exc})")
-    return examples
+    write_artifact(path, (
+        json.dumps(
+            {
+                "context_tokens": list(ex.context_tokens),
+                "response_tokens": list(ex.response_tokens),
+                "label": ex.label,
+                "source_pair_id": ex.source_pair_id,
+            },
+            ensure_ascii=False,
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for ex in examples
+    ))

@@ -584,6 +584,26 @@ class TestSubcommands:
         assert err.startswith("data error: annotation")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("output_dir", ["afile", "afile/out"])
+    def test_output_dir_blocked_by_a_file_exit_2(self, workspace, tmp_path, capsys, output_dir):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        corpus = workspace / "corpus.jsonl"
+        config = write_config(tmp_path / "config.json", corpus,
+                              paths={"corpus": str(corpus), "output_dir": output_dir})
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "paths.output_dir" in err and "exists and is not a directory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("out", ["afile/c.jsonl", "afile/sub/c.jsonl"])
+    def test_corpus_out_under_a_file_exit_2(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        assert main(["make-synthetic-corpus", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "is not a directory" in err
+        assert err.count("\n") == 1
+        assert (tmp_path / "afile").read_bytes() == b""
+
     def test_missing_input_exit_3(self, workspace):
         assert main([
             "retrieve", "--index", "/nonexistent.idx", "--query", "x",

@@ -6,6 +6,9 @@ float64 little-endian row-major payload. The header lists the payload as
 ``tensors``, ``[[name, shape], ...]`` in file order, and holds its
 SHA-256 as ``payload_sha256``. The expected bytes are assembled here from
 that description alone.
+
+Every artifact writer, text or binary, writes through
+``_container.write_artifact``, so a failed write keeps the previous file.
 """
 
 import errno
@@ -17,9 +20,13 @@ import numpy as np
 import pytest
 
 from dialret import _container
+from dialret.cli import main
+from dialret.corpus import Dialogue, Speaker, Turn, write_split_manifest
 from dialret.encoder import DualEncoderModel, random_embeddings, save_checkpoint
 from dialret.errors import DataError
+from dialret.evaluation import AnnotationRow, write_annotation_file, write_annotation_key
 from dialret.retrieval import HistoryIndex, load_index, save_index
+from dialret.sampling import TrainingExample, write_training_set
 
 
 def container(magic: bytes, header: dict, payload: list[tuple[str, np.ndarray]]) -> bytes:
@@ -91,16 +98,49 @@ def test_checkpoint_bytes(tmp_path, variant, tied):
     assert path.read_bytes() == container(b"DRCKPT", header, payload)
 
 
-def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "history.idx"
-    save_index(small_index(np.eye(3)), path)
+def _checkpoint(path, version):
+    emb = random_embeddings(["hello", "wörld"], 3, 1.0, seed=version)
+    save_checkpoint(DualEncoderModel.create(emb, variant="gru", hidden=2, seed=4), path)
+
+
+def _split_ids(path, version):
+    turns = [Turn(Speaker.USER, "hi"), Turn(Speaker.OPERATOR, "ok")]
+    write_split_manifest(path, [Dialogue(f"d{version}-{i}", turns) for i in range(3)])
+
+
+def _annotation_rows(version):
+    return [AnnotationRow(str(q), 1, f"réponse {version}", "", "model") for q in range(3)]
+
+
+# Every artifact writer, as write(path, version): versions 0 and 1 differ.
+WRITERS = {
+    "checkpoint": _checkpoint,
+    "index": lambda path, version: save_index(
+        small_index(np.roll(np.eye(3), version, axis=0)), path),
+    "trainset": lambda path, version: write_training_set(
+        path, [TrainingExample(("ask",), ("ok",), 1, version)] * 3),
+    "split-ids": _split_ids,
+    "annotation-sheet": lambda path, version: write_annotation_file(
+        path, _annotation_rows(version)),
+    "annotation-key": lambda path, version: write_annotation_key(
+        path, _annotation_rows(version)[version:]),
+    "cli-corpus": lambda path, version: main([
+        "make-synthetic-corpus", "--out", str(path), "--dialogues", "5", "--seed", str(version),
+    ]),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "artifact"
+    WRITERS[writer](path, 0)
     before = path.read_bytes()
 
     class FullDisk:
-        """A file whose writes fail after the first, as on a full disk."""
+        """A file that takes half of the first write, then fails, as on a full disk."""
 
         def __init__(self, fh):
-            self.fh, self.writes = fh, 0
+            self.fh = fh
 
         def __enter__(self):
             return self
@@ -109,18 +149,30 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
             self.fh.close()
 
         def write(self, data):
-            self.writes += 1
-            if self.writes > 1:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return self.fh.write(data)
+            data = memoryview(data).cast("B")
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(_container, "open", lambda *a: FullDisk(open(*a)), raising=False)
     with pytest.raises(OSError):
-        save_index(small_index(np.eye(3)[::-1].copy()), path)
+        WRITERS[writer](path, 1)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["history.idx"]
-    assert np.array_equal(load_index(path).vectors, np.eye(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_failing_chunks_keep_the_previous_file(tmp_path):
+    path = tmp_path / "artifact"
+    _container.write_artifact(path, ["before\n"])
+
+    def chunks():
+        yield "first line\n"
+        raise DataError("bad record")
+
+    with pytest.raises(DataError, match="bad record"):
+        _container.write_artifact(path, chunks())
+    assert path.read_bytes() == b"before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_load_without_a_file_hash_checks_only_the_payload_hash(tmp_path, monkeypatch):

@@ -82,11 +82,11 @@ def reference_gru(params, emb, tokens):
 class TestLoadEmbeddings:
     def test_oov_is_mean_of_rows(self):
         table = load_embeddings(["2 2\n", "a 1 0\n", "b 0 1\n"])
-        assert np.allclose(table.oov_vector, [0.5, 0.5])
+        assert np.allclose(table.matrix[table.oov_index], [0.5, 0.5])
 
     def test_unseen_token_gets_oov(self):
         table = load_embeddings(["2 2\n", "a 1 0\n", "b 0 1\n"])
-        assert np.allclose(table.matrix[table.indices(["zzz"])[0]], table.oov_vector)
+        assert np.allclose(table.matrix[table.indices(["zzz"])[0]], table.matrix[table.oov_index])
 
     def test_empty_file(self):
         with pytest.raises(DataError):
@@ -126,7 +126,7 @@ class TestRandomEmbeddings:
     def test_scale_zero_all_zero(self):
         table = random_embeddings(tiny_vocab(), 4, 0.0, seed=1)
         assert np.all(table.matrix == 0.0)
-        assert np.all(table.oov_vector == 0.0)
+        assert np.all(table.matrix[table.oov_index] == 0.0)
 
     def test_component_mean_clt_bound(self):
         # 2500 tokens x 40 dims = 1e5 iid uniform[-s, s] samples.

@@ -23,7 +23,6 @@ from dialret.sampling import (
     draw_distinct_alternatives,
     draw_negatives,
     make_epoch_resampler,
-    read_training_set,
     write_training_set,
 )
 from dialret.seeding import derive_rng
@@ -372,31 +371,20 @@ class TestTrainingExampleIO:
     def test_roundtrip(self, tmp_path):
         examples = [
             TrainingExample(("hello", "!"), ("fine", "."), 1, 0),
-            TrainingExample(("привет", EOU := "⟨eou⟩"), ("ок",), 0, 1),
+            TrainingExample(("привет", "⟨eou⟩"), ("ок",), 0, 1),
         ]
         path = tmp_path / "train.jsonl"
         write_training_set(path, examples)
-        assert read_training_set(path) == examples
+        assert path.read_bytes() == (
+            '{"context_tokens":["hello","!"],"label":1,"response_tokens":["fine","."],'
+            '"source_pair_id":0}\n'
+            '{"context_tokens":["привет","⟨eou⟩"],"label":0,"response_tokens":["ок"],'
+            '"source_pair_id":1}\n'
+        ).encode("utf-8")
 
     def test_label_validation(self):
         with pytest.raises(DataError):
             TrainingExample(("a",), ("b",), 2, 0)
-
-    def test_non_utf8_file_is_a_data_error(self, tmp_path):
-        path = tmp_path / "train.jsonl"
-        path.write_bytes(b'{"context_tokens": ["\xff"]}\n')
-        with pytest.raises(DataError, match="not UTF-8"):
-            read_training_set(path)
-
-    @pytest.mark.parametrize("label", ['"x"', "2"])
-    def test_bad_label_names_its_line(self, tmp_path, label):
-        path = tmp_path / "train.jsonl"
-        write_training_set(path, [TrainingExample(("a",), ("b",), 1, 0)])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"context_tokens": ["a"], "response_tokens": ["b"], '
-                     f'"label": {label}, "source_pair_id": 1}}\n')
-        with pytest.raises(DataError, match="line 2"):
-            read_training_set(path)
 
     def test_byte_identical_serialization(self, tmp_path):
         examples = [TrainingExample(("a",), ("b",), 1, 0)]
