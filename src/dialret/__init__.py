@@ -15,7 +15,6 @@ from .corpus import (
     Speaker,
     SplitSpec,
     Turn,
-    canonical_response,
     extract_all_pairs,
     extract_pairs,
     parse_dialogues,
@@ -99,7 +98,6 @@ __all__ = [
     "Turn",
     "build_history_index",
     "build_training_set",
-    "canonical_response",
     "count_responses",
     "cross_distribution_grid",
     "derive_rng",

@@ -6,7 +6,7 @@ stream to a temporary file beside the destination that then replaces it,
 so a failed write, or an error raised while the chunks are produced,
 leaves the previous file intact and no temporary file behind.
 
-Container bytes, version 2:
+Container bytes, version 3:
 
     bytes 0..5      magic, six bytes naming the format
     bytes 6..7      format version, uint16 little-endian
@@ -17,13 +17,13 @@ Container bytes, version 2:
 
 Beside each format's own keys, the writer lists the payload in the header
 as ``"tensors": [[name, shape], ...]`` in file order, with its SHA-256 as
-``"payload_sha256"``. A malformed file, a payload that does not match its
-hash or holds a non-finite value, and a file SHA-256 other than the caller
-expects raise :class:`DataError`, all checked on the bytes the reader
-decodes, so the file is read once. The payload hash is checked on every
-load; the whole-file hash is taken only when the caller passes one.
-Version 1 is not read: re-run ``train`` or ``grid`` to regenerate such a
-file.
+``"payload_sha256"``, checked on every load. So the SHA-256 of the bytes
+before the payload, which ``write_container`` returns, pins the whole
+file. A malformed file, a payload that does not match its hash or holds
+a non-finite value, and a header digest other than the caller expects
+raise :class:`DataError`. The reader hashes each byte once and decodes
+each tensor in the array it reads it into. Versions 1 and 2 are not
+read: re-run ``train`` or ``grid`` to regenerate such a file.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DataError
 
-VERSION = 2
+VERSION = 3
 _PREFIX_BYTES = 16
 
 
@@ -57,8 +57,9 @@ def write_artifact(path, chunks: Iterable) -> None:
         raise
 
 
-def write_container(path, magic: bytes, header: dict, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write ``header`` and the ``tensors`` (name -> array, in file order) to ``path``."""
+def write_container(path, magic: bytes, header: dict, tensors: Mapping[str, np.ndarray]) -> str:
+    """Write ``header`` and the ``tensors`` (name -> array, in file order) to
+    ``path``; return the SHA-256 of the bytes before the payload."""
     arrays = {name: np.ascontiguousarray(t, dtype="<f8") for name, t in tensors.items()}
     payload = hashlib.sha256()
     for array in arrays.values():
@@ -66,7 +67,9 @@ def write_container(path, magic: bytes, header: dict, tensors: Mapping[str, np.n
     header = dict(header, payload_sha256=payload.hexdigest(),
                   tensors=[[name, list(array.shape)] for name, array in arrays.items()])
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    write_artifact(path, [magic + struct.pack("<HQ", VERSION, len(blob)) + blob, *arrays.values()])
+    head = magic + struct.pack("<HQ", VERSION, len(blob)) + blob
+    write_artifact(path, [head, *arrays.values()])
+    return hashlib.sha256(head).hexdigest()
 
 
 def _size(shape) -> int:
@@ -82,23 +85,16 @@ def read_container(
     """``build(header, tensors)`` for the container file at ``path``.
 
     A wrong magic or version, a short or overlong file, a header that is
-    not JSON, a payload whose SHA-256 is not the header's, a file whose
-    SHA-256 is not ``sha256`` (when given), a non-finite payload value,
-    and a ``KeyError``, ``TypeError`` or ``ValueError`` raised while
-    reading the header or by ``build`` all become :class:`DataError`.
+    not JSON, a prefix and header whose SHA-256 is not ``sha256`` (when
+    given), a payload whose SHA-256 is not the header's, a non-finite
+    payload value, and a ``KeyError``, ``TypeError`` or ``ValueError``
+    raised while reading the header or by ``build`` all become
+    :class:`DataError`. The tensors are writable.
     """
-    # The whole-file digest is taken only when there is one to compare.
-    whole = (hashlib.sha256(),) if sha256 else ()
     payload = hashlib.sha256()
     with open(path, "rb") as fh:
-        def read(size: int, *hashes) -> bytes:
-            data = fh.read(size)
-            for h in (*whole, *hashes):
-                h.update(data)
-            return data
-
         file_size = os.fstat(fh.fileno()).st_size
-        prefix = read(_PREFIX_BYTES)
+        prefix = fh.read(_PREFIX_BYTES)
         if prefix[:6] != magic:
             raise DataError(f"not a {kind} file (magic {prefix[:6]!r})")
         if len(prefix) < _PREFIX_BYTES:
@@ -112,8 +108,12 @@ def read_container(
         offset = _PREFIX_BYTES + header_len
         if file_size < offset:
             raise DataError(f"{kind} file truncated in its header")
+        blob = fh.read(header_len)
+        if sha256 and (actual := hashlib.sha256(prefix + blob).hexdigest()) != sha256:
+            raise DataError(f"{kind} {path} header hash {actual[:12]}... does not match "
+                            f"the recorded {sha256[:12]}...")
         try:
-            header = json.loads(read(header_len).decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
             tensors: dict[str, np.ndarray] = {}
             for name, shape in header["tensors"]:
                 size = 8 * _size(shape)
@@ -121,18 +121,16 @@ def read_container(
                     raise ValueError(f"tensor {name!r} listed twice")
                 if file_size < offset + size:
                     raise DataError(f"{kind} truncated while reading {name!r}")
-                tensors[name] = (
-                    np.frombuffer(read(size, payload), "<f8").astype(np.float64).reshape(shape)
-                )
+                tensor = np.empty(shape, "<f8")
+                fh.readinto(tensor)
+                payload.update(tensor)
+                tensors[name] = tensor.astype(np.float64, copy=False)
                 offset += size
             if file_size != offset:
                 raise DataError(f"{kind} file has {file_size - offset} bytes after its payload")
             if payload.hexdigest() != header["payload_sha256"]:
                 raise DataError(f"{kind} {path} payload hash {payload.hexdigest()[:12]}... "
                                 f"does not match its header")
-            if whole and (actual := whole[0].hexdigest()) != sha256:
-                raise DataError(f"{kind} {path} hash {actual[:12]}... does not match "
-                                f"the recorded {sha256[:12]}...")
             for name, tensor in tensors.items():
                 if not np.all(np.isfinite(tensor)):
                     raise DataError(f"{kind} tensor {name!r} holds non-finite values")

@@ -11,8 +11,8 @@ every input and output, so any artifact can be traced and regenerated.
 The other three take their inputs from flags alone and write no manifest.
 
 Exit codes: 0 success, 2 bad usage or config, 3 missing input file (or a
-directory in its place), 4 malformed data, 5 numerical failure, 1
-anything else.
+directory in its place, or a file in place of a directory), 4 malformed
+data, 5 numerical failure, 1 anything else, any other OS error included.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
     result = enc_mod.train(model, examples, train_config, resampler=resampler)
     suffix = _safe_label(transform_label)
     ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
-    enc_mod.save_checkpoint(model, ckpt_path)
+    ckpt_sha256 = enc_mod.save_checkpoint(model, ckpt_path)
     trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
     write_artifact(trace_path, (f"{it}\t{loss!r}\n" for it, loss in result.loss_trace))
     artifacts = [trainset_path, ckpt_path, trace_path]
@@ -227,7 +227,7 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
         index = retr_mod.build_history_index(
             model, data.pairs("train"), cfg.response_weight,
             checkpoint_ref=ckpt_path.name,
-            checkpoint_sha256=retr_mod.file_sha256(ckpt_path),
+            checkpoint_sha256=ckpt_sha256,
         )
         index_path = cfg.output_dir / f"history_{suffix}.idx"
         retr_mod.save_index(index, index_path)
@@ -447,6 +447,13 @@ def _number(kind: type, minimum: int | None = None):
     return parse
 
 
+def _transform_label(text: str) -> str:
+    try:
+        return dist_mod.TransformSpec.parse(text).label()
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialret",
@@ -466,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="all", choices=("all", "train", "dev", "test"))
 
     p = with_config(sub.add_parser("build-trainset", help="sample a training set"))
-    p.add_argument("--transform", help="identity | uniform | power:D | kde:H")
+    p.add_argument("--transform", type=_transform_label,
+                   help="identity | uniform | power:D | kde:H")
     p.add_argument("--neg-ratio", type=_number(int, 1), help="negatives per positive")
     p.add_argument("--filter-inverse-count", action="store_true",
                    help="keep each pair with probability 1/count(response)")
@@ -474,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override master seed for sampling")
 
     p = with_config(sub.add_parser("train", help="train a dual encoder"))
-    p.add_argument("--transform", help="negative-sampling transform override")
+    p.add_argument("--transform", type=_transform_label,
+                   help="negative-sampling transform override")
 
     p = sub.add_parser("retrieve", help="query a history index")
     p.add_argument("--index", required=True)
@@ -485,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_config(sub.add_parser("eval", help="recall@k on a split"))
     p.add_argument("--checkpoint", help="score with a dual-encoder checkpoint")
     p.add_argument("--index", help="score with a history index")
-    p.add_argument("--alternative-transform", help="override eval alternatives")
+    p.add_argument("--alternative-transform", type=_transform_label,
+                   help="override eval alternatives")
 
     with_config(sub.add_parser(
         "grid", help="train per negative distribution, evaluate per alternative"
@@ -550,7 +560,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:
@@ -559,7 +569,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 5
-    except DialretError as exc:
+    except (DialretError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

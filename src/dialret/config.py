@@ -6,8 +6,8 @@ the optional sections ``paths``, ``split``, ``sampling``, ``encoder``,
 ``_FIELDS`` below lists every known field once, with the
 :class:`ExperimentConfig` attribute it sets and its type, minimum and
 choices; the defaults live on :class:`ExperimentConfig` alone. Transform
-labels are ``identity``, ``uniform``, ``power:D`` or ``kde:H``. The
-fields checked by hand:
+labels are ``identity``, ``uniform``, ``power:D`` or ``kde:H``, stored in
+the canonical form of ``TransformSpec.label``. The fields checked by hand:
 
     paths.corpus        corpus file; required by corpus-reading commands
     paths.embeddings    word-vector file; null = random embeddings
@@ -162,14 +162,12 @@ class _Validator:
             return default
         return v
 
-    def transform_label(self, obj: dict, path: str, key: str, default: str) -> str:
-        label = self.value(obj, path, key, str, default)
+    def transform_label(self, label: str, path: str, default):
         try:
-            TransformSpec.parse(label)
+            return TransformSpec.parse(label).label()
         except ConfigError as exc:
-            self.fail(f"{path}{key}", str(exc))
+            self.fail(path, str(exc))
             return default
-        return label
 
 
 def load_config(path, require_corpus: bool = False) -> ExperimentConfig:
@@ -196,7 +194,8 @@ def parse_config(
         path = f"{name}." if name else ""
         default = getattr(cfg, attr)
         if kind is TransformSpec:
-            setattr(cfg, attr, v.transform_label(sections[name], path, key, default))
+            label = v.value(sections[name], path, key, str, default)
+            setattr(cfg, attr, v.transform_label(label, f"{path}{key}", default))
         elif kind is not None:
             setattr(cfg, attr, v.value(
                 sections[name], path, key, kind, default, minimum, choices
@@ -247,18 +246,13 @@ def parse_config(
         ):
             v.fail(f"grid.{key}", "must be a non-empty list of transform labels")
             continue
-        ok = True
-        for label in labels:
-            try:
-                TransformSpec.parse(label)
-            except ConfigError as exc:
-                v.fail(f"grid.{key}", str(exc))
-                ok = False
-        if ok:
-            if len(set(labels)) != len(labels):
-                v.fail(f"grid.{key}", "labels must be unique")
-            else:
-                setattr(cfg, attr, tuple(labels))
+        labels = [v.transform_label(label, f"grid.{key}", None) for label in labels]
+        if None in labels:
+            continue
+        if len(set(labels)) != len(labels):
+            v.fail(f"grid.{key}", "labels must be unique")
+        else:
+            setattr(cfg, attr, tuple(labels))
 
     models = sections["annotation"].get("models", cfg.annotation_models)
     if not isinstance(models, dict):

@@ -48,11 +48,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def canonical_response(text: str) -> str:
-    """Canonical string equality for responses: tokenize, re-join with spaces."""
-    return " ".join(tokenize(text))
-
-
 class Speaker(Enum):
     USER = "user"
     OPERATOR = "operator"

@@ -183,11 +183,12 @@ class TransformSpec:
         raise ConfigError(f"unknown transform {text!r}")
 
     def label(self) -> str:
-        if self.kind == "power":
-            return f"power:{self.degree:g}"
-        if self.kind == "kde":
-            return f"kde:{self.bandwidth:g}"
-        return self.kind
+        """The canonical label, which ``parse`` maps back to this spec."""
+        if self.kind not in ("power", "kde"):
+            return self.kind
+        value = self.degree if self.kind == "power" else self.bandwidth
+        short = f"{value:g}"
+        return f"{self.kind}:{short if float(short) == value else repr(value)}"
 
 
 def transform(

@@ -772,14 +772,15 @@ _CKPT_MAGIC = b"DRCKPT"
 _ENCODER_PARAMS = {params.variant: params for params in (GruParams, AttentionParams)}
 
 
-def save_checkpoint(model: DualEncoderModel, path) -> None:
+def save_checkpoint(model: DualEncoderModel, path) -> str:
+    """Write ``model`` to ``path``; return the digest that pins the file."""
     header = {
         "tied": model.tied,
         "train_embeddings": model.train_embeddings,
         "variant": model.context_encoder.variant,
         "vocab": model.embeddings.tokens_in_index_order(),
     }
-    write_container(path, _CKPT_MAGIC, header, model.all_tensors())
+    return write_container(path, _CKPT_MAGIC, header, model.all_tensors())
 
 
 def _encoder_from_checkpoint(
@@ -815,5 +816,5 @@ def _model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Dual
 
 def load_checkpoint(path, sha256: str | None = None) -> DualEncoderModel:
     """The model saved at ``path``; DataError if it is malformed or, when
-    ``sha256`` is given, if the file's SHA-256 differs from it."""
+    ``sha256`` is given, if it is not the digest ``save_checkpoint`` returned."""
     return read_container(path, _CKPT_MAGIC, "checkpoint", _model_from_checkpoint, sha256)

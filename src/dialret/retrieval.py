@@ -178,6 +178,7 @@ def query_nearest(
 # b"DRHIDX" whose sorted-key JSON header adds {"checkpoint_ref",
 # "checkpoint_sha256", "pair_ids", "response_weight", "responses"}; the
 # payload is one tensor, "vectors", with a row per pair id.
+# "checkpoint_sha256" is the digest save_checkpoint returned for the checkpoint.
 _IDX_MAGIC = b"DRHIDX"
 
 
@@ -189,7 +190,7 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def save_index(index: HistoryIndex, path) -> None:
+def save_index(index: HistoryIndex, path) -> str:
     header = {
         "checkpoint_ref": index.checkpoint_ref,
         "checkpoint_sha256": index.checkpoint_sha256,
@@ -197,7 +198,7 @@ def save_index(index: HistoryIndex, path) -> None:
         "response_weight": index.response_weight,
         "responses": index.responses,
     }
-    write_container(path, _IDX_MAGIC, header, {"vectors": index.vectors})
+    return write_container(path, _IDX_MAGIC, header, {"vectors": index.vectors})
 
 
 def load_index(path, model: DualEncoderModel | None = None) -> HistoryIndex:

@@ -2,11 +2,13 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dialret.cli import main
+from dialret import _container
+from dialret.cli import build_parser, main
 from dialret.config import ExperimentConfig, load_config, parse_config
 from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
 from dialret.distribution import TransformSpec, count_responses
@@ -206,6 +208,33 @@ class TestConfigValidation:
             if name != "bogus":
                 assert f"{name}.bogus: unknown field" in errors
 
+    def test_transform_labels_are_stored_canonical(self, tmp_path):
+        cfg = parse_config({"sampling": {"transform": "KDE"},
+                            "eval": {"alternative_transform": "Power:-0.50"},
+                            "grid": {"train_transforms": ["identity", "power:1.0"]}}, tmp_path)
+        assert cfg.sampling_transform == "kde:0.4"
+        assert cfg.eval_alternative_transform == "power:-0.5"
+        assert cfg.grid_train_transforms == ("identity", "power:1")
+
+    def test_one_transform_spelled_three_ways_is_one_grid_variant(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", SAMPLE,
+                              grid={"train_transforms": ["kde", "kde:0.4", "KDE:0.40"]})
+        assert main(["grid", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "grid.train_transforms: labels must be unique" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build-trainset", "--config", "c.json", "--transform"],
+        ["train", "--config", "c.json", "--transform"],
+        ["eval", "--config", "c.json", "--alternative-transform"],
+    ])
+    def test_transform_flags_are_canonical(self, capsys, argv):
+        args = build_parser().parse_args([*argv, "KDE:0.40"])
+        assert (args.transform if "train" in argv[0] else args.alternative_transform) == "kde:0.4"
+        assert main([*argv, "power:xyz"]) == 2
+        assert "bad transform parameter" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_unknown_subcommand_usage(self, capsys):
@@ -400,6 +429,45 @@ class TestSubcommands:
         assert err.startswith("data error:")
         assert "does not match the recorded" in err
 
+    def test_retrieve_checkpoint_with_another_header_exit_4(self, workspace, tmp_path, capsys):
+        # The same tensors under a vocabulary with two tokens swapped: only
+        # the header differs from the checkpoint the index recorded.
+        data = (workspace / "out" / "model_identity.ckpt").read_bytes()
+        header, tensors = split_container(data)
+        vocab = header["vocab"]
+        vocab[0], vocab[1] = vocab[1], vocab[0]
+        other = join_container(data, header, tensors)
+        assert other != data and split_container(other)[1] == split_container(data)[1]
+        (tmp_path / "other.ckpt").write_bytes(other)
+        assert main([
+            "retrieve", "--index", str(workspace / "out" / "history_identity.idx"),
+            "--query", "ask1", "--checkpoint", str(tmp_path / "other.ckpt"),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "does not match the recorded" in err
+
+    def test_retrieve_hashes_each_byte_once(self, workspace, monkeypatch, capsys):
+        fed = []
+        real = hashlib.sha256
+
+        class Counting:
+            def __init__(self, data=b""):
+                self.digest = real()
+                self.update(data)
+
+            def update(self, data):
+                fed.append(memoryview(data).nbytes)
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(_container, "hashlib", SimpleNamespace(sha256=Counting))
+        index = workspace / "out" / "history_identity.idx"
+        assert main(["retrieve", "--index", str(index), "--query", "ask1"]) == 0
+        ckpt = workspace / "out" / "model_identity.ckpt"
+        assert sum(fed) <= index.stat().st_size + ckpt.stat().st_size
+
     def test_retrieve_reads_the_checkpoint_once(self, workspace, monkeypatch, capsys):
         ckpt = workspace / "out" / "model_identity.ckpt"
         opened = []
@@ -473,7 +541,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("defect", [
         "cut@3", "cut@10", "cut@16", "cut@40", "cut@header-end", "cut@payload+8",
-        "cut@last-byte", "missing-key", "trailing-byte", "version-1", "flip@payload+8",
+        "cut@last-byte", "missing-key", "trailing-byte", "version-1", "version-2",
+        "flip@payload+8",
     ])
     @pytest.mark.parametrize("kind", ["checkpoint", "index"])
     def test_malformed_container_exit_4(self, workspace, tmp_path, capsys, kind, defect):
@@ -488,9 +557,9 @@ class TestSubcommands:
             data = data[:8] + struct.pack("<Q", len(blob)) + blob + data[end:]
         elif defect == "trailing-byte":
             data += b"\x00"
-        elif defect == "version-1":
-            # Version 1 is not read, whatever follows its prefix.
-            data = data[:6] + struct.pack("<H", 1) + data[8:]
+        elif defect.startswith("version-"):
+            # Versions 1 and 2 are not read, whatever follows their prefix.
+            data = data[:6] + struct.pack("<H", int(defect[-1])) + data[8:]
         elif defect == "flip@payload+8":
             data = bytearray(data)
             data[end + 8] ^= 0x01
@@ -509,7 +578,11 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert ("checkpoint" if kind == "checkpoint" else "history index") in err
-        assert {"version-1": "version 1", "flip@payload+8": "payload hash"}.get(defect, "") in err
+        expected = {"version-1": "version 1", "version-2": "version 2",
+                    "flip@payload+8": "payload hash"}.get(defect, "")
+        assert expected in err
+        if defect.startswith("version-"):
+            assert "re-run train or grid" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect", ["missing", "misshapen"])
@@ -608,6 +681,14 @@ class TestSubcommands:
         assert main([
             "retrieve", "--index", "/nonexistent.idx", "--query", "x",
         ]) == 3
+
+    def test_index_under_a_regular_file_exit_3(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        assert main([
+            "retrieve", "--index", str(tmp_path / "afile" / "x.idx"), "--query", "hi",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing input:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
         ["retrieve", "--index", "{dir}", "--query", "ask1"],

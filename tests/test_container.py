@@ -1,11 +1,12 @@
 """Golden bytes of the checkpoint and history-index containers.
 
-Both formats share one layout: a six-byte magic, a uint16 version (2), a
+Both formats share one layout: a six-byte magic, a uint16 version (3), a
 uint64 header length, the UTF-8 JSON header with sorted keys, then the
 float64 little-endian row-major payload. The header lists the payload as
 ``tensors``, ``[[name, shape], ...]`` in file order, and holds its
 SHA-256 as ``payload_sha256``. The expected bytes are assembled here from
-that description alone.
+that description alone. The writer returns the SHA-256 of the bytes
+before the payload, the digest that pins the file.
 
 Every artifact writer, text or binary, writes through
 ``_container.write_artifact``, so a failed write keeps the previous file.
@@ -37,7 +38,7 @@ def container(magic: bytes, header: dict, payload: list[tuple[str, np.ndarray]])
         tensors=[[name, list(np.shape(t))] for name, t in payload],
     )
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return magic + struct.pack("<H", 2) + struct.pack("<Q", len(blob)) + blob + data
+    return magic + struct.pack("<H", 3) + struct.pack("<Q", len(blob)) + blob + data
 
 
 def small_index(vectors) -> HistoryIndex:
@@ -51,13 +52,15 @@ def small_index(vectors) -> HistoryIndex:
 def test_index_bytes(tmp_path):
     vectors = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
     path = tmp_path / "history.idx"
-    save_index(small_index(vectors), path)
+    digest = save_index(small_index(vectors), path)
     header = {
         "checkpoint_ref": "model.ckpt", "checkpoint_sha256": "cd" * 32,
         "pair_ids": [1, 4, 9], "response_weight": 0.4,
         "responses": ["grüß dich", "ok", "fact1 ok"],
     }
-    assert path.read_bytes() == container(b"DRHIDX", header, [("vectors", vectors)])
+    expected = container(b"DRHIDX", header, [("vectors", vectors)])
+    assert path.read_bytes() == expected
+    assert digest == hashlib.sha256(expected[: -vectors.nbytes]).hexdigest()
 
 
 @pytest.mark.parametrize("variant, tied", [("gru", True), ("attention", False)])
@@ -131,7 +134,7 @@ WRITERS = {
 
 
 @pytest.mark.parametrize("writer", WRITERS)
-def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys, writer):
     path = tmp_path / "artifact"
     WRITERS[writer](path, 0)
     before = path.read_bytes()
@@ -154,8 +157,14 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(_container, "open", lambda *a: FullDisk(open(*a)), raising=False)
-    with pytest.raises(OSError):
-        WRITERS[writer](path, 1)
+    if writer == "cli-corpus":
+        # The CLI reports any other OS error in one line and exits 1.
+        assert WRITERS[writer](path, 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No space left" in err and err.count("\n") == 1
+    else:
+        with pytest.raises(OSError):
+            WRITERS[writer](path, 1)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
@@ -191,13 +200,13 @@ def test_load_without_a_file_hash_checks_only_the_payload_hash(tmp_path, monkeyp
 
 def test_wrong_file_hash_is_a_data_error(tmp_path):
     path = tmp_path / "history.idx"
-    save_index(small_index(np.eye(3)), path)
+    digest = save_index(small_index(np.eye(3)), path)
 
     def read(sha256):
         return _container.read_container(
             path, b"DRHIDX", "history index", lambda header, tensors: tensors["vectors"], sha256
         )
 
-    assert np.array_equal(read(hashlib.sha256(path.read_bytes()).hexdigest()), np.eye(3))
+    assert np.array_equal(read(digest), np.eye(3))
     with pytest.raises(DataError, match="does not match the recorded"):
-        read("ab" * 32)
+        read(hashlib.sha256(path.read_bytes()).hexdigest())

@@ -12,7 +12,6 @@ from dialret.corpus import (
     Speaker,
     SplitSpec,
     Turn,
-    canonical_response,
     extract_all_pairs,
     extract_pairs,
     parse_dialogues,
@@ -90,8 +89,10 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
 
-    def test_canonical_response(self):
-        assert canonical_response("Hello!  THERE") == "hello ! there"
+    def test_response_text_is_its_tokens_joined_by_one_space(self):
+        [pair] = extract_pairs(make_dialogue("d", "hi", "Hello!  THERE"))
+        assert pair.response_text == "hello ! there"
+        assert pair.response_tokens == ("hello", "!", "there")
 
 
 class TestParseDialogues:

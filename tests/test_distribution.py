@@ -89,6 +89,16 @@ class TestTransformSpec:
         kde = TransformSpec.parse("kde:0.4")
         assert kde.kind == "kde" and kde.bandwidth == 0.4
 
+    def test_label_is_canonical(self):
+        for label in ("identity", "uniform", "power:-0.5", "power:-0.125", "power:1",
+                      "power:12", "kde:0.4"):
+            assert TransformSpec.parse(label).label() == label
+        for text, label in (("KDE:0.40", "kde:0.4"), ("kde", "kde:0.4"), ("Power:1.0", "power:1")):
+            assert TransformSpec.parse(text).label() == label
+        # A parameter that %g would round keeps every digit.
+        for spec in (TransformSpec.power(0.1234567), TransformSpec.kde_smoothed(1 / 3)):
+            assert TransformSpec.parse(spec.label()) == spec
+
     def test_parse_rejects_garbage(self):
         for bad in ("nope", "power:xyz", "kde:0") + ("power",):
             with pytest.raises(ConfigError):

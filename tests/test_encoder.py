@@ -524,8 +524,10 @@ class TestCheckpoint:
     def test_sha256_checked_on_the_bytes_read(self, tmp_path):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(DualEncoderModel.create(emb, variant="gru", hidden=5, seed=2), path)
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        actual = save_checkpoint(DualEncoderModel.create(emb, variant="gru", hidden=5, seed=2), path)
+        # The pin is the SHA-256 of the prefix and header, which hold the payload hash.
+        data = path.read_bytes()
+        assert actual == hashlib.sha256(data[: 16 + int.from_bytes(data[8:16], "little")]).hexdigest()
         load_checkpoint(path, actual)
         with pytest.raises(DataError) as exc:
             load_checkpoint(path, "0" * 64)
@@ -541,6 +543,23 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(DataError, match=f"'{tensor}.*non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant, tied", [("gru", True), ("attention", False)])
+    def test_training_a_loaded_checkpoint_matches_the_original(self, tmp_path, variant, tied):
+        emb = random_embeddings(tiny_vocab(20), 6, 1.0, seed=3)
+        model = DualEncoderModel.create(emb, variant=variant, hidden=6, seed=3, tied=tied,
+                                        train_embeddings=True)
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        assert all(t.flags.writeable for t in loaded.all_tensors().values())
+        examples = random_batch(tiny_vocab(20), np.random.default_rng(5), size=24)
+        config = TrainConfig(learning_rate=0.3, batch_size=8, max_iterations=30, seed=9,
+                             eval_every=10)
+        traces = [train(m, examples, config).loss_trace for m in (model, loaded)]
+        assert traces[0] == traces[1]
+        save_checkpoint(model, tmp_path / "a.ckpt")
+        save_checkpoint(loaded, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_loaded_model_is_trainable(self, tmp_path):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
