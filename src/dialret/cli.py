@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -190,20 +191,29 @@ def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Pa
     return [], [path]
 
 
-def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpus):
-    """Build a trainset, train a model, and persist everything.
+@dataclass
+class _Variant:
+    """One trained variant's inputs, ready for ``enc_mod.train``."""
 
-    Returns (model, checkpoint_path, index_path, artifact_paths).
-    """
+    label: str
+    model: enc_mod.DualEncoderModel
+    examples: list
+    train_config: enc_mod.TrainConfig
+    resampler: object
+    trainset_path: Path
+
+
+def _prepare_variant(cfg: ExperimentConfig, label: str, data: _Corpus) -> _Variant:
+    """Build and write the ``label`` variant's trainset and make its model."""
     # A fresh table per variant: training with train_embeddings updates
     # its matrix in place.
     embeddings_table = _embeddings_for(cfg, data.dialogues("train"))
-    examples, resampler, trainset_path = _training_set(cfg, data, transform_label, embeddings_table)
+    examples, resampler, trainset_path = _training_set(cfg, data, label, embeddings_table)
     model = enc_mod.DualEncoderModel.create(
         embeddings_table,
         variant=cfg.encoder_variant,
         hidden=cfg.encoder_hidden,
-        seed=derive_seed(cfg.master_seed, "model-init", transform_label),
+        seed=derive_seed(cfg.master_seed, "model-init", label),
         tied=cfg.encoder_tied,
         train_embeddings=cfg.train_embeddings,
     )
@@ -211,33 +221,46 @@ def _train_one_variant(cfg: ExperimentConfig, transform_label: str, data: _Corpu
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
         max_iterations=cfg.max_iterations,
-        seed=derive_seed(cfg.master_seed, "train", transform_label),
+        seed=derive_seed(cfg.master_seed, "train", label),
         gradient_clip_norm=cfg.gradient_clip_norm,
         eval_every=cfg.eval_every,
     )
-    result = enc_mod.train(model, examples, train_config, resampler=resampler)
-    suffix = _safe_label(transform_label)
+    return _Variant(label, model, examples, train_config, resampler, trainset_path)
+
+
+def _finish_variant(
+    cfg: ExperimentConfig, data: _Corpus, variant: _Variant, result: enc_mod.TrainResult
+) -> tuple[Path, Path | None, list[Path]]:
+    """Write a trained variant's checkpoint, loss trace and index.
+
+    Returns (checkpoint_path, index_path, artifact_paths), the trainset
+    first among the artifacts.
+    """
+    suffix = _safe_label(variant.label)
     ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
-    ckpt_sha256 = enc_mod.save_checkpoint(model, ckpt_path)
+    ckpt_sha256 = enc_mod.save_checkpoint(variant.model, ckpt_path)
     trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
     write_artifact(trace_path, (f"{it}\t{loss!r}\n" for it, loss in result.loss_trace))
-    artifacts = [trainset_path, ckpt_path, trace_path]
+    artifacts = [variant.trainset_path, ckpt_path, trace_path]
     index_path = None
     if cfg.build_index:
         index = retr_mod.build_history_index(
-            model, data.pairs("train"), cfg.response_weight,
+            variant.model, data.pairs("train"), cfg.response_weight,
             checkpoint_ref=ckpt_path.name,
             checkpoint_sha256=ckpt_sha256,
         )
         index_path = cfg.output_dir / f"history_{suffix}.idx"
         retr_mod.save_index(index, index_path)
         artifacts.append(index_path)
-    return model, ckpt_path, index_path, artifacts
+    return ckpt_path, index_path, artifacts
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     label = args.transform or cfg.sampling_transform
-    _, ckpt, index_path, artifacts = _train_one_variant(cfg, label, _Corpus(cfg))
+    data = _Corpus(cfg)
+    v = _prepare_variant(cfg, label, data)
+    result = enc_mod.train(v.model, v.examples, v.train_config, v.resampler)
+    ckpt, index_path, artifacts = _finish_variant(cfg, data, v, result)
     where = f"{ckpt}" + (f" and {index_path}" if index_path else "")
     print(f"trained '{label}' variant -> {where}")
     return [], artifacts
@@ -322,13 +345,19 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     for label in cfg.grid_alt_transforms:
         eval_mod.draw_candidates(test_pairs, train_dist, _eval_config(cfg, label), embeddings)
 
+    # Every trainset is written before training starts; the variants train
+    # in one call, in parallel where there are CPUs for it.
+    variants = [_prepare_variant(cfg, label, data) for label in cfg.grid_train_transforms]
+    logger.info("grid: training variants %s", ", ".join(map(repr, cfg.grid_train_transforms)))
+    results = enc_mod.train(
+        [v.model for v in variants], [v.examples for v in variants],
+        [v.train_config for v in variants], [v.resampler for v in variants],
+    )
     scorers: dict[str, object] = {}
     artifacts: list[Path] = []
-    for label in cfg.grid_train_transforms:
-        logger.info("grid: training variant %r", label)
-        model, _, _, model_artifacts = _train_one_variant(cfg, label, data)
-        scorers[label] = model
-        artifacts.extend(model_artifacts)
+    for variant, result in zip(variants, results):
+        scorers[variant.label] = variant.model
+        artifacts.extend(_finish_variant(cfg, data, variant, result)[2])
 
     eval_cfg = _eval_config(cfg, cfg.grid_alt_transforms[0])
     grid = eval_mod.cross_distribution_grid(

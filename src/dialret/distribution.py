@@ -167,13 +167,13 @@ class TransformSpec:
     @classmethod
     def parse(cls, text: str) -> "TransformSpec":
         """Parse CLI syntax: identity | uniform | power:D | kde:H."""
-        name, _, arg = text.partition(":")
+        name, colon, arg = text.partition(":")
         name = name.strip().lower()
+        if name in ("identity", "uniform"):
+            if colon:
+                raise ConfigError(f"transform {name!r} takes no parameter, got {text!r}")
+            return cls(name)
         try:
-            if name == "identity":
-                return cls.identity()
-            if name == "uniform":
-                return cls.uniform()
             if name == "power":
                 return cls.power(float(arg))
             if name == "kde":

@@ -55,6 +55,9 @@ so its memory is bounded by one block whatever the number of sequences.
 from __future__ import annotations
 
 import logging
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -62,7 +65,7 @@ import numpy as np
 
 from ._container import read_container, write_container
 from .corpus import read_text_lines
-from .errors import DataError, DivergenceError, NonFiniteParameterError
+from .errors import DataError, DialretError, DivergenceError, NonFiniteParameterError
 
 if TYPE_CHECKING:
     from .sampling import TrainingExample
@@ -712,24 +715,13 @@ class TrainResult:
     loss_trace: list[tuple[int, float]]
 
 
-def train(
+def _train_one(
     model: DualEncoderModel,
     examples: "Sequence[TrainingExample]",
     config: TrainConfig,
     resampler=None,
 ) -> TrainResult:
-    """SGD with deterministic batch order; mutates ``model`` in place.
-
-    Each epoch shuffles the examples with the config seed's generator and
-    slices consecutive batches (the last one may be short). Epoch 0 trains
-    on ``examples``. ``resampler``, if given, is called with the epoch
-    number for epochs 1, 2, ... and must return that epoch's training
-    examples; without it every epoch reuses ``examples``. Each set is
-    turned into token-index rows once, and batches slice those rows.
-
-    Raises DataError for an empty set and DivergenceError when the loss
-    goes non-finite.
-    """
+    """The training loop of one job; see :func:`train`."""
     rng = np.random.default_rng(config.seed)
     tensors = model.trainable_tensors()
     trace: list[tuple[int, float]] = []
@@ -762,6 +754,130 @@ def train(
                 logger.debug("iteration %d loss %.6f", iteration, loss)
         epoch += 1
     return TrainResult(model, trace)
+
+
+def _train_in_order(jobs: list[tuple], indices: Sequence[int]):
+    """Train ``jobs[i]`` for each ``i`` in turn, stopping at the first failure.
+
+    Returns ({i: TrainResult}, (i, exception) or None).
+    """
+    done = {}
+    for i in indices:
+        try:
+            done[i] = _train_one(*jobs[i])
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+class _Worker:
+    """A forked child that trains ``indices`` of the jobs and pipes back
+    each trained job's tensors and loss trace, then the failure if any."""
+
+    def __init__(self, jobs: list[tuple], indices: Sequence[int]):
+        self.indices = indices
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            self._run(jobs, write_fd)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def _run(self, jobs, write_fd) -> None:
+        # The child never returns into the caller's frames: it leaves
+        # through os._exit, which also skips flushing inherited buffers.
+        code = 1
+        try:
+            done, failure = _train_in_order(jobs, self.indices)
+            trained = {
+                i: (result.model.trainable_tensors(), result.loss_trace)
+                for i, result in done.items()
+            }
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump((trained, failure), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def collect(self, jobs: list[tuple]):
+        """The worker's results, written into the parent's models, and its failure."""
+        try:
+            trained, failure = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            trained, failure = {}, None
+        self.reap()
+        if failure is None and len(trained) < len(self.indices):
+            code = os.waitstatus_to_exitcode(self.status)
+            raise DialretError(f"training worker {self.pid} exited with code {code}")
+        done = {}
+        for i, (tensors, trace) in trained.items():
+            model = jobs[i][0]
+            for name, tensor in model.trainable_tensors().items():
+                tensor[...] = tensors[name]
+            done[i] = TrainResult(model, trace)
+        return done, failure
+
+    def reap(self, terminate: bool = False) -> None:
+        if self.pipe.closed:
+            return
+        if terminate:
+            os.kill(self.pid, signal.SIGTERM)
+        self.pipe.close()
+        _, self.status = os.waitpid(self.pid, 0)
+
+
+def train(model, examples, config, resampler=None):
+    """SGD with deterministic batch order; mutates the models in place.
+
+    Each epoch shuffles the examples with the config seed's generator and
+    slices consecutive batches (the last one may be short). Epoch 0 trains
+    on ``examples``. ``resampler``, if given, is called with the epoch
+    number for epochs 1, 2, ... and must return that epoch's training
+    examples; without it every epoch reuses ``examples``. Each set is
+    turned into token-index rows once, and batches slice those rows.
+
+    Given one model, trains it in this process and returns its
+    TrainResult. Given equal-length lists of models, example sets, configs
+    and resamplers, trains each as an independent job and returns one
+    TrainResult per job, in order, with the same bits as training each
+    alone. With n = min(jobs, CPUs in ``os.sched_getaffinity(0)``), this
+    process trains jobs 0, n, 2n, ... and each of n - 1 forked workers
+    every n-th job after its own first one; on one CPU every job runs
+    here in turn. Workers are forked, not spawned, so example sets and
+    resampler closures are never pickled (and the caller should run no
+    other Python threads); each pipes back its trained tensors and loss
+    traces, which are copied into the caller's model arrays in place.
+
+    Raises DataError for an empty set and DivergenceError when the loss
+    goes non-finite; with several jobs, the error of the first failing
+    job in list order, as training them one after another would.
+    """
+    if isinstance(model, DualEncoderModel):
+        return _train_one(model, examples, config, resampler)
+    jobs = list(zip(model, examples, config, resampler, strict=True))
+    slots = min(len(jobs), len(os.sched_getaffinity(0)))
+    workers: list[_Worker] = []
+    try:
+        for slot in range(1, slots):
+            workers.append(_Worker(jobs, range(slot, len(jobs), slots)))
+        done, failure = _train_in_order(jobs, range(0, len(jobs), max(slots, 1)))
+        for worker in workers:
+            # A worker whose jobs all come after a known failure cannot
+            # change which error is raised.
+            if failure and failure[0] < worker.indices[0]:
+                worker.reap(terminate=True)
+                continue
+            worker_done, worker_failure = worker.collect(jobs)
+            done.update(worker_done)
+            if worker_failure and not (failure and failure[0] < worker_failure[0]):
+                failure = worker_failure
+    finally:
+        for worker in workers:
+            worker.reap(terminate=True)
+    if failure:
+        raise failure[1]
+    return [done[i] for i in range(len(jobs))]
 
 
 # Checkpoint: a container (see dialret._container) with magic b"DRCKPT"

@@ -4,9 +4,19 @@ The CLI maps these onto exit-status categories, so new errors should
 subclass one of the three branches below rather than Exception directly.
 """
 
+import copyreg
+
 
 class DialretError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Pickling rebuilds an error from its ``args`` and attributes without
+    calling ``__init__``, so every subclass crosses a process boundary
+    with its type, message and attributes whatever its signature.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(DialretError):

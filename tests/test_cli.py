@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,13 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dialret import _container
+from dialret import _container, encoder
 from dialret.cli import build_parser, main
 from dialret.config import ExperimentConfig, load_config, parse_config
 from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
 from dialret.distribution import TransformSpec, count_responses
 from dialret.encoder import load_checkpoint, save_checkpoint
-from dialret.errors import ConfigError
+from dialret.errors import ConfigError, DivergenceError
 from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
 from dialret.seeding import derive_seed
 
@@ -234,6 +235,16 @@ class TestConfigValidation:
         assert (args.transform if "train" in argv[0] else args.alternative_transform) == "kde:0.4"
         assert main([*argv, "power:xyz"]) == 2
         assert "bad transform parameter" in capsys.readouterr().err
+        assert main([*argv, "uniform:bogus"]) == 2
+        assert "takes no parameter" in capsys.readouterr().err
+
+    def test_grid_rejects_a_parameter_on_a_bare_transform(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", SAMPLE,
+                              grid={"train_transforms": ["uniform:3"]})
+        assert main(["grid", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "takes no parameter" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSubcommands:
@@ -709,6 +720,8 @@ class TestSubcommands:
         ]) == 0
         config = write_config(tmp_path / "config.json", corpus)
         assert main(["grid", "--config", str(config)]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         table = (tmp_path / "out" / "grid_table.txt").read_text(encoding="utf-8")
         lines = table.splitlines()
         assert lines[0].split() == [
@@ -725,6 +738,42 @@ class TestSubcommands:
         ):
             report = (tmp_path / "out" / name).read_text(encoding="utf-8")
             assert "recall@1" in report
+
+    @pytest.mark.parametrize("failing", ["identity", "uniform"])
+    def test_grid_with_a_diverging_variant_fails_as_on_one_cpu(
+        self, tmp_path, capsys, monkeypatch, failing
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main([
+            "make-synthetic-corpus", "--out", str(corpus), "--dialogues", "120",
+            "--responses", "12", "--vocab", "40", "--seed", "2",
+        ]) == 0
+        capsys.readouterr()
+        real = encoder._train_one
+        failing_seed = derive_seed(11, "train", failing)
+
+        def diverge_one_variant(model, examples, config, resampler=None):
+            if config.seed == failing_seed:
+                raise DivergenceError(7, float("nan"))
+            return real(model, examples, config, resampler)
+
+        monkeypatch.setattr(encoder, "_train_one", diverge_one_variant)
+        errs = []
+        for run, cpus in (("two-cpus", {0, 1}), ("one-cpu", {0})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            config = write_config(
+                tmp_path / f"{run}.json", corpus, paths={"corpus": str(corpus), "output_dir": run}
+            )
+            assert main(["grid", "--config", str(config)]) == 5
+            errs.append(capsys.readouterr().err)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            out = tmp_path / run
+            assert sorted(p.name for p in out.iterdir()) == [
+                "trainset_identity.jsonl", "trainset_uniform.jsonl",
+            ]
+        assert errs[0] == errs[1]
+        assert errs[0].splitlines()[-1] == "numeric error: loss diverged (value nan) at iteration 7"
 
     def test_annotation_roundtrip(self, workspace, capsys):
         config = workspace / "config.json"

@@ -104,6 +104,11 @@ class TestTransformSpec:
             with pytest.raises(ConfigError):
                 TransformSpec.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["uniform:3", "uniform:bogus", "identity:x", "Identity:"])
+    def test_parse_rejects_a_parameter_on_a_bare_transform(self, bad):
+        with pytest.raises(ConfigError, match="takes no parameter"):
+            TransformSpec.parse(bad)
+
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ConfigError):
             TransformSpec.kde_smoothed(0.0)

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import logging
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 from gradcheck import finite_difference_gradients, max_relative_error
 
+from dialret import encoder as encoder_module
 from dialret.encoder import (
     AttentionParams,
     DualEncoderModel,
@@ -27,6 +31,7 @@ from dialret.encoder import (
 )
 from dialret.errors import (
     DataError,
+    DialretError,
     DivergenceError,
     NonFiniteParameterError,
     NumericError,
@@ -459,6 +464,128 @@ class TestTrain:
         assert result.loss_trace == [(1, loss)]
         for name, tensor in trained.trainable_tensors().items():
             assert np.array_equal(tensor, expected.trainable_tensors()[name]), name
+
+
+def make_job(j):
+    """Job ``j`` of a mixed set: GRU and attention, tied and untied, with and
+    without trained embeddings, with and without a resampler."""
+    vocab = tiny_vocab(20)
+    emb = random_embeddings(vocab, 6, 1.0, seed=30 + j)
+    model = DualEncoderModel.create(
+        emb, variant=("gru", "attention")[j % 2], hidden=6, seed=40 + j,
+        tied=j % 3 == 0, train_embeddings=j % 4 < 2,
+    )
+    examples = random_batch(vocab, np.random.default_rng(50 + j), size=12 + j)
+    config = TrainConfig(learning_rate=0.4, batch_size=8, max_iterations=10 + j,
+                         seed=60 + j, eval_every=3)
+    resampler = None
+    if j % 3 != 1:
+        def resampler(epoch):
+            return random_batch(vocab, np.random.default_rng((70 + j, epoch)), size=9 + epoch)
+    return model, examples, config, resampler
+
+
+def failing_job(j):
+    """Job ``j``, made to fail: job 4 on an empty set, the others numerically."""
+    model, examples, config, resampler = make_job(j)
+    if j == 4:
+        return model, [], config, resampler
+    return model, examples, dataclasses.replace(config, learning_rate=1e308), resampler
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def tensor_bytes(model):
+    return {name: tensor.tobytes() for name, tensor in model.all_tensors().items()}
+
+
+def train_jobs(jobs):
+    return train(*(list(column) for column in zip(*jobs)))
+
+
+@pytest.fixture(params=[None, 1, 2], ids=["all-cpus", "one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The CPUs ``train`` may use: the process's own, or a patched affinity."""
+    if request.param is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+
+
+class TestTrainSeveralJobs:
+    def test_each_job_gets_the_bits_of_training_it_alone(self, cpus):
+        # Five jobs: more than the patched one and two CPUs.
+        jobs = [make_job(j) for j in range(5)]
+        live = [model.trainable_tensors() for model, *_ in jobs]
+        results = train_jobs(jobs)
+        assert len(results) == len(jobs)
+        for j, (job, result) in enumerate(zip(jobs, results)):
+            alone = make_job(j)
+            expected = train(*alone)
+            assert result.model is job[0]
+            assert result.loss_trace == expected.loss_trace
+            assert tensor_bytes(result.model) == tensor_bytes(alone[0])
+            # The caller's own arrays hold the trained values.
+            for name, tensor in result.model.trainable_tensors().items():
+                assert tensor is live[j][name]
+        assert no_children_left()
+
+    def test_one_job_list_and_empty_list(self, cpus):
+        model, examples, config, resampler = make_job(2)
+        [result] = train([model], [examples], [config], [resampler])
+        alone = make_job(2)
+        assert result.loss_trace == train(*alone).loss_trace
+        assert tensor_bytes(model) == tensor_bytes(alone[0])
+        assert train([], [], [], []) == []
+
+    def test_unequal_lists_rejected(self):
+        model, examples, config, resampler = make_job(0)
+        with pytest.raises(ValueError):
+            train([model, model], [examples], [config], [resampler])
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (3,), (1, 2), (2, 3), (2, 4)])
+    def test_first_failure_in_list_order_is_raised(self, cpus, failing):
+        jobs = [failing_job(j) if j in failing else make_job(j) for j in range(5)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(Exception) as alone:
+                train(*failing_job(failing[0]))
+            with pytest.raises(type(alone.value)) as together:
+                train_jobs(jobs)
+        assert str(together.value) == str(alone.value)
+        assert no_children_left()
+
+    def test_parent_interrupt_stops_every_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        parent = os.getpid()
+
+        def interrupted_or_stuck(*job):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(encoder_module, "_train_one", interrupted_or_stuck)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train_jobs([make_job(j) for j in range(3)])
+        assert time.monotonic() - start < 30
+        assert no_children_left()
+
+    def test_a_worker_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+        real = encoder_module._train_one
+
+        def dies_in_worker(*job):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*job)
+
+        monkeypatch.setattr(encoder_module, "_train_one", dies_in_worker)
+        with pytest.raises(DialretError, match="exited with code 3"):
+            train_jobs([make_job(j) for j in range(2)])
+        assert no_children_left()
 
 
 class TestGruParams:
