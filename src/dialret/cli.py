@@ -266,22 +266,28 @@ def cmd_train(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     return [], artifacts
 
 
-def _load_index_with_model(index_path: Path, checkpoint: str | None):
-    index = retr_mod.load_index(index_path)
-    ckpt_path = Path(checkpoint) if checkpoint else None
-    if ckpt_path is None and index.checkpoint_ref:
-        candidate = Path(index.checkpoint_ref)
-        if not candidate.is_absolute():
-            candidate = index_path.parent / candidate
-        ckpt_path = candidate
-    if ckpt_path is None:
+def _load_scorer(kind: str, path, checkpoint: str | None = None):
+    """A checkpoint's model, or an index with its checkpoint's model attached.
+
+    An index loads the checkpoint it references (relative to the index's
+    directory) unless ``checkpoint`` names another one.
+    """
+    path = Path(path)
+    if kind == "checkpoint":
+        return enc_mod.load_checkpoint(path)
+    index = retr_mod.load_index(path)
+    if checkpoint:
+        ckpt_path = Path(checkpoint)
+    elif index.checkpoint_ref:
+        ckpt_path = path.parent / index.checkpoint_ref
+    else:
         raise ConfigError("index has no checkpoint reference; pass --checkpoint")
     index.model = enc_mod.load_checkpoint(ckpt_path, index.checkpoint_sha256)
     return index
 
 
 def cmd_retrieve(args) -> int:
-    index = _load_index_with_model(Path(args.index), args.checkpoint)
+    index = _load_scorer("index", args.index, args.checkpoint)
     tokens = corpus_mod.tokenize(args.query)
     if not tokens:
         raise DataError("query contains no tokens")
@@ -308,11 +314,11 @@ def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     eval_cfg = _eval_config(cfg, alt_label)
 
     if args.index:
-        scorer = _load_index_with_model(Path(args.index), args.checkpoint)
+        scorer = _load_scorer("index", args.index, args.checkpoint)
         scorer_name = "history-index"
         inputs = [Path(args.index)]
     elif args.checkpoint:
-        scorer = enc_mod.load_checkpoint(Path(args.checkpoint))
+        scorer = _load_scorer("checkpoint", args.checkpoint)
         scorer_name = "dual-encoder"
         inputs = [Path(args.checkpoint)]
     else:
@@ -382,21 +388,12 @@ def cmd_export_anno(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]
     data = _Corpus(cfg)
     test_pairs, pool = data.pairs(cfg.eval_split), data.train_dist.responses
 
-    scorers: dict[str, object] = {}
-    inputs: list[Path] = []
-    if args.checkpoint:
-        scorers["dual-encoder"] = enc_mod.load_checkpoint(Path(args.checkpoint))
-        inputs.append(Path(args.checkpoint))
-    if args.index:
-        scorers["history-index"] = _load_index_with_model(Path(args.index), None)
-        inputs.append(Path(args.index))
-    for name, entry in cfg.annotation_models.items():
-        path = entry["path"]
-        if entry["kind"] == "checkpoint":
-            scorers[name] = enc_mod.load_checkpoint(path)
-        else:
-            scorers[name] = _load_index_with_model(path, None)
-        inputs.append(path)
+    flags = [("dual-encoder", "checkpoint", args.checkpoint), ("history-index", "index", args.index)]
+    models = [model for model in flags if model[2]] + [
+        (name, entry["kind"], entry["path"]) for name, entry in cfg.annotation_models.items()
+    ]
+    scorers = {name: _load_scorer(kind, path) for name, kind, path in models}
+    inputs = [Path(path) for _, _, path in models]
     if not scorers:
         raise ConfigError(
             "export-anno needs --checkpoint/--index or annotation.models"

@@ -54,12 +54,14 @@ so its memory is bounded by one block whatever the number of sequences.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import pickle
+import select
 import signal
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -77,6 +79,8 @@ logger = logging.getLogger(__name__)
 MAX_SEQUENCE_TOKENS = 160
 
 _LOG_EPS = 1e-12
+
+_PR_SET_PDEATHSIG = 1  # prctl(2) option: the signal to get when the parent dies
 
 
 def sigmoid(x):
@@ -756,75 +760,62 @@ def _train_one(
     return TrainResult(model, trace)
 
 
-def _train_in_order(jobs: list[tuple], indices: Sequence[int]):
-    """Train ``jobs[i]`` for each ``i`` in turn, stopping at the first failure.
-
-    Returns ({i: TrainResult}, (i, exception) or None).
-    """
-    done = {}
-    for i in indices:
-        try:
-            done[i] = _train_one(*jobs[i])
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
-
-
-class _Worker:
-    """A forked child that trains ``indices`` of the jobs and pipes back
-    each trained job's tensors and loss trace, then the failure if any."""
-
-    def __init__(self, jobs: list[tuple], indices: Sequence[int]):
-        self.indices = indices
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(read_fd)
-            self._run(jobs, write_fd)
+def _fork_job(job: tuple) -> tuple[int, BinaryIO]:
+    """Fork a child that trains ``job`` and pipes back its trained tensors
+    and loss trace, or its exception; return the child's pid and pipe."""
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
         os.close(write_fd)
-        self.pipe = os.fdopen(read_fd, "rb")
-
-    def _run(self, jobs, write_fd) -> None:
-        # The child never returns into the caller's frames: it leaves
-        # through os._exit, which also skips flushing inherited buffers.
-        code = 1
+        return pid, os.fdopen(read_fd, "rb")
+    # The child never returns into the caller's frames: it leaves through
+    # os._exit, which also skips flushing inherited buffers.
+    code = 1
+    try:
+        os.close(read_fd)
+        _die_with_parent(parent)
         try:
-            done, failure = _train_in_order(jobs, self.indices)
-            trained = {
-                i: (result.model.trainable_tensors(), result.loss_trace)
-                for i, result in done.items()
-            }
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump((trained, failure), pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
+            result = _train_one(*job)
+            outcome = (result.model.trainable_tensors(), result.loss_trace)
+        except Exception as exc:
+            outcome = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
-    def collect(self, jobs: list[tuple]):
-        """The worker's results, written into the parent's models, and its failure."""
-        try:
-            trained, failure = pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):
-            trained, failure = {}, None
-        self.reap()
-        if failure is None and len(trained) < len(self.indices):
-            code = os.waitstatus_to_exitcode(self.status)
-            raise DialretError(f"training worker {self.pid} exited with code {code}")
-        done = {}
-        for i, (tensors, trace) in trained.items():
-            model = jobs[i][0]
-            for name, tensor in model.trainable_tensors().items():
-                tensor[...] = tensors[name]
-            done[i] = TrainResult(model, trace)
-        return done, failure
 
-    def reap(self, terminate: bool = False) -> None:
-        if self.pipe.closed:
-            return
-        if terminate:
-            os.kill(self.pid, signal.SIGTERM)
-        self.pipe.close()
-        _, self.status = os.waitpid(self.pid, 0)
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process when its parent dies; exit now if
+    ``parent`` is already gone, since the request covers only a live one."""
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)  # fails only for an invalid signal
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _collect(pid: int, pipe: BinaryIO):
+    """What child ``pid`` piped back, its tensors and loss trace or its
+    exception, or a DialretError if it died first; reaps the child."""
+    try:
+        outcome = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        outcome = None
+    pipe.close()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if outcome is None:
+        outcome = DialretError(f"training process {pid} exited with code {code}")
+    return outcome
+
+
+def _kill(pid: int, pipe: BinaryIO) -> None:
+    os.kill(pid, signal.SIGKILL)
+    pipe.close()
+    os.waitpid(pid, 0)
 
 
 def train(model, examples, config, resampler=None):
@@ -841,43 +832,57 @@ def train(model, examples, config, resampler=None):
     TrainResult. Given equal-length lists of models, example sets, configs
     and resamplers, trains each as an independent job and returns one
     TrainResult per job, in order, with the same bits as training each
-    alone. With n = min(jobs, CPUs in ``os.sched_getaffinity(0)``), this
-    process trains jobs 0, n, 2n, ... and each of n - 1 forked workers
-    every n-th job after its own first one; on one CPU every job runs
-    here in turn. Workers are forked, not spawned, so example sets and
-    resampler closures are never pickled (and the caller should run no
-    other Python threads); each pipes back its trained tensors and loss
-    traces, which are copied into the caller's model arrays in place.
+    alone. Each job trains in its own forked child; up to one child per CPU
+    in ``os.sched_getaffinity(0)`` runs at a time, and jobs start in list
+    order as children finish. Children are forked, not spawned, so example
+    sets and resampler closures are never pickled (and the caller should
+    run no other Python threads); each pipes back its trained tensors and
+    loss trace, which are copied into the caller's model arrays in place.
+    A child is killed when this process dies.
 
     Raises DataError for an empty set and DivergenceError when the loss
     goes non-finite; with several jobs, the error of the first failing
-    job in list order, as training them one after another would.
+    job in list order, as training them one after another would. Once a
+    job has failed, no later job starts and running later jobs are killed.
     """
     if isinstance(model, DualEncoderModel):
         return _train_one(model, examples, config, resampler)
     jobs = list(zip(model, examples, config, resampler, strict=True))
-    slots = min(len(jobs), len(os.sched_getaffinity(0)))
-    workers: list[_Worker] = []
+    slots = len(os.sched_getaffinity(0))
+    results: list[TrainResult | None] = [None] * len(jobs)
+    started = 0
+    running = {}  # pipe -> (job, pid)
+    failure = None  # (job, exception) of the first failing job known
     try:
-        for slot in range(1, slots):
-            workers.append(_Worker(jobs, range(slot, len(jobs), slots)))
-        done, failure = _train_in_order(jobs, range(0, len(jobs), max(slots, 1)))
-        for worker in workers:
-            # A worker whose jobs all come after a known failure cannot
-            # change which error is raised.
-            if failure and failure[0] < worker.indices[0]:
-                worker.reap(terminate=True)
-                continue
-            worker_done, worker_failure = worker.collect(jobs)
-            done.update(worker_done)
-            if worker_failure and not (failure and failure[0] < worker_failure[0]):
-                failure = worker_failure
+        while True:
+            while failure is None and started < len(jobs) and len(running) < slots:
+                pid, pipe = _fork_job(jobs[started])
+                running[pipe] = (started, pid)
+                started += 1
+            if not running:
+                break
+            for pipe in select.select(list(running), [], [])[0]:
+                if pipe not in running:
+                    continue  # killed for a failure found in this same wake-up
+                outcome = _collect(running[pipe][1], pipe)
+                i, _ = running.pop(pipe)
+                if isinstance(outcome, BaseException):
+                    # Every job still running comes before any failure known
+                    # so far, so this one is now the first.
+                    failure = (i, outcome)
+                    for later in [p for p, (j, _) in running.items() if j > i]:
+                        _kill(running.pop(later)[1], later)
+                else:
+                    tensors, trace = outcome
+                    for name, tensor in jobs[i][0].trainable_tensors().items():
+                        tensor[...] = tensors[name]
+                    results[i] = TrainResult(jobs[i][0], trace)
     finally:
-        for worker in workers:
-            worker.reap(terminate=True)
+        for pipe, (_, pid) in running.items():
+            _kill(pid, pipe)
     if failure:
         raise failure[1]
-    return [done[i] for i in range(len(jobs))]
+    return results
 
 
 # Checkpoint: a container (see dialret._container) with magic b"DRCKPT"

@@ -27,6 +27,7 @@ from ._container import write_artifact
 from .corpus import ContextResponsePair
 from .distribution import ResponseDistribution, TransformSpec, transform
 from .errors import CandidatePoolError, DataError
+from .seeding import derive_rng
 
 if TYPE_CHECKING:
     from .encoder import EmbeddingTable
@@ -254,8 +255,6 @@ def make_epoch_resampler(
     the inverse-count filter reads. Off by default everywhere; negatives
     are normally fixed once per built training set.
     """
-    from .seeding import derive_rng
-
     sample_dist = transform(dist, strategy.transform, embeddings)
     epoch_strategy = replace(strategy, transform=TransformSpec.identity())
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Dialogue, Speaker, Turn
+from .corpus import EOU_TOKEN, Dialogue, Speaker, Turn, tokenize
 from .errors import DataError
 
 
@@ -99,8 +99,6 @@ def corpus_vocabulary(dialogues: Sequence[Dialogue], pad_to: int = 0) -> list[st
     ``pad_to`` appends unused spare tokens up to the requested size, for
     experiments that fix the vocabulary size.
     """
-    from .corpus import EOU_TOKEN, tokenize
-
     tokens = {EOU_TOKEN}
     for d in dialogues:
         for turn in d.turns:

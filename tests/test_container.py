@@ -19,11 +19,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialret import _container
 from dialret.cli import main
 from dialret.corpus import Dialogue, Speaker, Turn, write_split_manifest
-from dialret.encoder import DualEncoderModel, random_embeddings, save_checkpoint
+from dialret.encoder import DualEncoderModel, load_checkpoint, random_embeddings, save_checkpoint
 from dialret.errors import DataError
 from dialret.evaluation import AnnotationRow, write_annotation_file, write_annotation_key
 from dialret.retrieval import HistoryIndex, load_index, save_index
@@ -210,3 +212,87 @@ def test_wrong_file_hash_is_a_data_error(tmp_path):
     assert np.array_equal(read(digest), np.eye(3))
     with pytest.raises(DataError, match="does not match the recorded"):
         read(hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A directory holding a small checkpoint and an index that references it."""
+    directory = tmp_path_factory.mktemp("pristine")
+    emb = random_embeddings(["hello", "wörld"], 3, 1.0, seed=5)
+    model = DualEncoderModel.create(emb, variant="gru", hidden=3, seed=6)
+    digest = save_checkpoint(model, directory / "model.ckpt")
+    index = HistoryIndex(
+        response_weight=0.4, pair_ids=[1, 4, 9], vectors=np.eye(3),
+        responses=["grüß dich", "ok", "fact1 ok"],
+        checkpoint_ref="model.ckpt", checkpoint_sha256=digest,
+    )
+    save_index(index, directory / "history.idx")
+    return directory
+
+
+LOADERS = {"model.ckpt": load_checkpoint, "history.idx": load_index}
+
+
+def corrupted(blob: bytes, truncate: bool, position: int) -> bytes:
+    """``blob`` cut to ``position`` bytes, or with bit ``position`` flipped."""
+    if truncate:
+        return blob[:position]
+    flipped = bytearray(blob)
+    flipped[position // 8] ^= 1 << (position % 8)
+    return bytes(flipped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), truncate=st.booleans(), data=st.data())
+def test_a_corrupt_container_loads_or_is_a_data_error(pristine, name, truncate, data):
+    blob = (pristine / name).read_bytes()
+    position = data.draw(st.integers(0, (len(blob) if truncate else 8 * len(blob)) - 1))
+    path = pristine / f"corrupt.{name}"
+    path.write_bytes(corrupted(blob, truncate, position))
+    try:
+        LOADERS[name](path)
+    except DataError:
+        pass
+
+
+def _byte_after(blob: bytes, text: bytes) -> int:
+    return blob.index(text) + len(text)
+
+
+# name -> (truncate, position given the index's bytes): the bytes kept by a
+# cut, or the bit a flip changes.
+RETRIEVE_CORRUPTIONS = {
+    "empty": (True, lambda blob: 0),
+    "cut-in-prefix": (True, lambda blob: 11),
+    "cut-in-header": (True, lambda blob: 40),
+    "cut-in-payload": (True, lambda blob: len(blob) - 5),
+    "flip-magic": (False, lambda blob: 3),
+    "flip-version": (False, lambda blob: 8 * 6),
+    "flip-header-length": (False, lambda blob: 8 * 8 + 2),
+    "flip-checkpoint-hash": (False, lambda blob: 8 * _byte_after(blob, b'"checkpoint_sha256": "')),
+    "flip-response-text": (False, lambda blob: 8 * _byte_after(blob, b'"fact') + 1),
+    "flip-payload": (False, lambda blob: 8 * len(blob) - 20),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(RETRIEVE_CORRUPTIONS))
+def test_retrieve_on_a_corrupt_index_fails_cleanly(pristine, capsys, corruption):
+    blob = (pristine / "history.idx").read_bytes()
+    truncate, position = RETRIEVE_CORRUPTIONS[corruption]
+    path = pristine / "corrupt.idx"
+    path.write_bytes(corrupted(blob, truncate, position(blob)))
+    code = main(["retrieve", "--index", str(path), "--query", "hello"])
+    err = capsys.readouterr().err
+    assert code in (0, 4)
+    assert "Traceback" not in err
+    assert (code == 4) == err.startswith("data error:")
+
+
+def test_retrieve_through_a_corrupt_checkpoint_reference_is_a_missing_input(pristine, capsys):
+    # The flipped name points at no file, which is reported like any other
+    # missing input.
+    blob = (pristine / "history.idx").read_bytes()
+    path = pristine / "corrupt.idx"
+    path.write_bytes(corrupted(blob, False, 8 * _byte_after(blob, b'"checkpoint_ref": "')))
+    assert main(["retrieve", "--index", str(path), "--query", "hello"]) == 3
+    assert capsys.readouterr().err.startswith("missing input:")

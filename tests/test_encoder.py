@@ -3,6 +3,10 @@ import hashlib
 import logging
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -558,19 +562,83 @@ class TestTrainSeveralJobs:
 
     def test_parent_interrupt_stops_every_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        parent = os.getpid()
+        monkeypatch.setattr(encoder_module, "_train_one", lambda *job: time.sleep(60))
 
-        def interrupted_or_stuck(*job):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(encoder_module, "_train_one", interrupted_or_stuck)
+        # The parent trains nothing itself: interrupt it while it waits.
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            train_jobs([make_job(j) for j in range(3)])
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                train_jobs([make_job(j) for j in range(3)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30
         assert no_children_left()
+
+    def test_a_free_cpu_starts_the_next_job(self, monkeypatch, tmp_path):
+        # Job 0 outlasts jobs 1 and 2 together, so on two CPUs job 2 must
+        # start on the CPU job 1 frees, not wait for job 0.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        seconds = {60: 2.0, 61: 0.3, 62: 0.3}
+
+        def timed(model, examples, config, resampler=None):
+            start = time.monotonic()
+            time.sleep(seconds[config.seed])
+            times = f"{start} {time.monotonic()}"
+            (tmp_path / f"job{config.seed - 60}").write_text(times)
+            return encoder_module.TrainResult(model, [])
+
+        monkeypatch.setattr(encoder_module, "_train_one", timed)
+        train_jobs([make_job(j) for j in range(3)])
+        times = [[float(t) for t in (tmp_path / f"job{j}").read_text().split()] for j in range(3)]
+        assert times[2][0] < times[0][1]  # job 2 started before job 0 ended
+        assert no_children_left()
+
+    def test_children_die_with_their_parent(self):
+        # A parent killed outright cannot reap its children; they must still
+        # stop. PID 1 may not reap orphans, so a zombie counts as gone.
+        script = textwrap.dedent("""
+            import os, sys, time
+            sys.path[:0] = [sys.argv[1], sys.argv[2]]
+            import test_encoder
+            from dialret import encoder
+
+            def report_and_sleep(*job):
+                os.write(1, b"%d\\n" % os.getpid())  # one write: lines never interleave
+                time.sleep(60)
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            encoder._train_one = report_and_sleep
+            test_encoder.train_jobs([test_encoder.make_job(j) for j in range(2)])
+        """)
+        tests_dir = os.path.dirname(__file__)
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, src_dir, tests_dir], stdout=subprocess.PIPE, text=True
+        )
+        try:
+            pids = [int(parent.stdout.readline()) for _ in range(2)]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+
+        def gone(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        deadline = time.monotonic() + 5
+        while not all(map(gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(gone, pids))
 
     def test_a_worker_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
