@@ -46,7 +46,9 @@ context), ``encode_contexts`` and ``encode_responses`` (batches).
 
 Training indexes each example set once: contexts and responses become
 OOV-padded token-index matrices with a length per row, and each batch is
-a slice of them, trimmed to its longest sequence. Inference
+a slice of them, trimmed to its longest sequence. Batches are bucketed to
+cut GRU steps: shuffle, sort each chunk of ``BUCKET_BATCHES`` batches by
+context length, cut the batches, shuffle their order. Inference
 (:func:`encode_batch`) runs the forward pass in blocks of
 ``ENCODE_BLOCK_ROWS`` rows of similar length and keeps no per-step cache,
 so its memory is bounded by one block whatever the number of sequences.
@@ -719,6 +721,22 @@ class TrainResult:
     loss_trace: list[tuple[int, float]]
 
 
+# Batches per bucketing chunk: batches cut from a chunk sorted by context
+# length run fewer GRU steps, and examples still mix across the chunk.
+BUCKET_BATCHES = 50
+
+
+def _epoch_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """One epoch's batches of example indices, in training order; see :func:`train`."""
+    order = rng.permutation(len(lengths))
+    chunk = BUCKET_BATCHES * batch_size
+    for start in range(0, len(order), chunk):
+        part = order[start : start + chunk]
+        part[...] = part[np.argsort(lengths[part], kind="stable")]
+    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    return [batches[i] for i in rng.permutation(len(batches))]
+
+
 def _train_one(
     model: DualEncoderModel,
     examples: "Sequence[TrainingExample]",
@@ -738,12 +756,11 @@ def _train_one(
             if not examples:
                 raise DataError(f"training set for epoch {epoch} is empty")
             indexed = _IndexedExamples(model.embeddings, examples)
-        order = rng.permutation(len(examples))
-        for start in range(0, len(order), config.batch_size):
+        for rows in _epoch_batches(indexed.context[1], config.batch_size, rng):
             if iteration >= config.max_iterations:
                 break
             iteration += 1
-            batch = indexed.batch(order[start : start + config.batch_size])
+            batch = indexed.batch(rows)
             loss, grads = _indexed_loss_and_gradients(model, *batch)
             if not np.isfinite(loss):
                 raise DivergenceError(iteration, loss)
@@ -821,8 +838,10 @@ def _kill(pid: int, pipe: BinaryIO) -> None:
 def train(model, examples, config, resampler=None):
     """SGD with deterministic batch order; mutates the models in place.
 
-    Each epoch shuffles the examples with the config seed's generator and
-    slices consecutive batches (the last one may be short). Epoch 0 trains
+    Each epoch shuffles the examples with the config seed's generator,
+    stable-sorts each chunk of ``BUCKET_BATCHES`` batches by context length,
+    cuts the batches (the last one may be short) and shuffles their order,
+    so the order depends on the seed and context lengths only. Epoch 0 trains
     on ``examples``. ``resampler``, if given, is called with the epoch
     number for epochs 1, 2, ... and must return that epoch's training
     examples; without it every epoch reuses ``examples``. Each set is

@@ -1,10 +1,11 @@
 """Synthetic dialogue corpora for experiments and acceptance checks.
 
 The real support-chat data this library was designed around is
-proprietary, so experiments run on generated stand-ins that keep the two
-properties that matter: contexts predict responses through shared topic
-keywords, and response frequencies follow a heavy-tailed (Zipf) law, so
-a handful of uninformative replies dominates the corpus.
+proprietary, so experiments run on generated stand-ins: contexts predict
+responses through shared topic keywords, and response frequencies follow
+a heavy-tailed (Zipf) law over topics. Each topic has one reply, which
+only its question leads to, so even the most frequent replies are
+informative: there are no generic replies such as greetings.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from dialret.encoder import (
     EmbeddingTable,
     GruParams,
     TrainConfig,
+    _epoch_batches,
     _forward,
     _pad_batch,
     encode,
@@ -456,8 +457,9 @@ class TestTrain:
         result = train(trained, examples, config)
 
         expected = make()
-        order = np.random.default_rng(config.seed).permutation(len(examples))
-        batch = [examples[i] for i in order[: config.batch_size]]
+        lengths = np.array([len(ex.context_tokens) for ex in examples])
+        rows = _epoch_batches(lengths, config.batch_size, np.random.default_rng(config.seed))[0]
+        batch = [examples[i] for i in rows]
         loss, grads = loss_and_gradients(expected, batch)
         norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
         assert norm > config.gradient_clip_norm
@@ -468,6 +470,89 @@ class TestTrain:
         assert result.loss_trace == [(1, loss)]
         for name, tensor in trained.trainable_tensors().items():
             assert np.array_equal(tensor, expected.trainable_tensors()[name]), name
+
+
+def mixed_lengths(n, choices=(3, 10, 17), seed=0):
+    return np.random.default_rng(seed).choice(choices, size=n)
+
+
+def max_steps(lengths, batches):
+    """GRU steps an epoch runs over ``batches``: each batch's longest context."""
+    return sum(int(lengths[rows].max()) for rows in batches)
+
+
+class TestEpochBatches:
+    @pytest.mark.parametrize("n, batch_size", [(1003, 8), (1000, 8), (5, 8), (2000, 7)])
+    def test_batches_partition_the_indices_with_at_most_one_short(self, n, batch_size):
+        lengths = mixed_lengths(n)
+        batches = _epoch_batches(lengths, batch_size, np.random.default_rng(1))
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(n))
+        sizes = [len(rows) for rows in batches]
+        assert sum(size < batch_size for size in sizes) <= 1
+        assert all(0 < size <= batch_size for size in sizes)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fewer_steps_than_the_unbucketed_order(self, seed):
+        # Seed's first draw is the shuffle both orders share, so each
+        # bucketed chunk sorts the examples the unbucketed one slices.
+        n, batch_size = 3001, 16
+        for choices, strict in (((3, 10, 17), True), (tuple(range(1, 31)), False)):
+            lengths = mixed_lengths(n, choices, seed=seed + 10)
+            order = np.random.default_rng(seed).permutation(n)
+            plain = [order[s : s + batch_size] for s in range(0, n, batch_size)]
+            bucketed = _epoch_batches(lengths, batch_size, np.random.default_rng(seed))
+            assert max_steps(lengths, bucketed) <= max_steps(lengths, plain)
+            if strict:
+                assert max_steps(lengths, bucketed) < max_steps(lengths, plain)
+
+    def test_a_chunk_is_sorted_by_length_before_it_is_cut(self):
+        lengths = mixed_lengths(3000)
+        batches = _epoch_batches(lengths, 6, np.random.default_rng(2))
+        # A batch spans at most one length boundary of its sorted chunk.
+        assert sum(len(set(lengths[rows])) > 1 for rows in batches) <= 2 * -(-3000 // 300)
+
+    def test_same_seed_and_lengths_give_the_same_batches(self):
+        lengths = mixed_lengths(777)
+        first, second = (_epoch_batches(lengths, 9, np.random.default_rng(5)) for _ in range(2))
+        assert len(first) == len(second)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        other = _epoch_batches(lengths, 9, np.random.default_rng(6))
+        assert not all(np.array_equal(a, b) for a, b in zip(first, other))
+
+    def test_each_resampled_epoch_buckets_its_own_set(self, monkeypatch):
+        vocab = tiny_vocab(20)
+        rng = np.random.default_rng(3)
+
+        def examples_with_context(size, tokens):
+            return [
+                TrainingExample(tuple(vocab[int(i)] for i in rng.integers(0, 20, size=tokens)),
+                                (vocab[int(rng.integers(0, 20))],), b % 2, b)
+                for b in range(size)
+            ]
+
+        # Epoch 0 has 40 one-token contexts; epoch 1 has 56 of 2 to 17
+        # tokens, more rows than epoch 0's lengths could index.
+        first = examples_with_context(40, 1)
+        second = [ex for tokens in (3, 10, 17) for ex in examples_with_context(16, tokens)]
+        second += examples_with_context(8, 2)
+        seen = []
+
+        def recording(lengths, batch_size, generator):
+            seen.append(lengths.copy())
+            return _epoch_batches(lengths, batch_size, generator)
+
+        monkeypatch.setattr(encoder_module, "_epoch_batches", recording)
+        config = TrainConfig(learning_rate=0.3, batch_size=8, max_iterations=12,
+                             seed=11, eval_every=4)
+        runs = []
+        for _ in range(2):
+            emb = random_embeddings(vocab, 6, 1.0, seed=12)
+            model = DualEncoderModel.create(emb, variant="gru", hidden=6, seed=13)
+            result = train(model, first, config, resampler=lambda epoch: second)
+            runs.append((tensor_bytes(model), result.loss_trace))
+        assert runs[0] == runs[1]
+        expected = [[len(ex.context_tokens) for ex in examples] for examples in (first, second)]
+        assert [list(lengths) for lengths in seen] == expected * 2
 
 
 def make_job(j):
