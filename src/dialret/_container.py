@@ -135,6 +135,6 @@ def read_container(
                 if not np.all(np.isfinite(tensor)):
                     raise DataError(f"{kind} tensor {name!r} holds non-finite values")
             return build(header, tensors)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             # JSON and UTF-8 decode errors are ValueErrors too.
             raise DataError(f"malformed {kind} file: {type(exc).__name__}: {exc}") from None

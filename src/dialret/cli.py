@@ -10,6 +10,10 @@ makes the output directory, runs the command and writes a
 every input and output, so any artifact can be traced and regenerated.
 The other three take their inputs from flags alone and write no manifest.
 
+``train`` and ``grid`` share one training path, ``train`` being the
+one-variant case: every variant's trainset is written, each variant then
+trains in its own forked child, and then its other artifacts are written.
+
 Exit codes: 0 success, 2 bad usage or config, 3 missing input file (or a
 directory in its place, or a file in place of a directory), 4 malformed
 data, 5 numerical failure, 1 anything else, any other OS error included.
@@ -24,7 +28,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -147,24 +151,18 @@ def cmd_stats(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
 
 
 def _training_set(
-    cfg: ExperimentConfig, data: _Corpus, label: str, embeddings: enc_mod.EmbeddingTable,
-    seed: int | None = None, neg_per_pos: int | None = None, filter_inverse_count: bool = False,
+    cfg: ExperimentConfig, data: _Corpus, strategy: samp_mod.SamplingStrategy,
+    embeddings: enc_mod.EmbeddingTable, seed: int,
 ):
-    """Epoch 0's set for the ``label`` variant, its resampler, and the file it is in.
+    """Epoch 0's set sampled by ``strategy``, its resampler, and the file it is in.
 
-    Builds and writes ``trainset_<label>.jsonl`` for both ``build-trainset``
-    and ``train``. ``seed`` and ``neg_per_pos`` replace the config's values
-    and ``filter_inverse_count`` turns the filter on, for the sampling alone:
-    the file name, the split and ``embeddings`` stay as the config has them.
-    The resampler is ``None`` unless ``sampling.resample_each_epoch`` is
-    set; then epoch 0's set is ``resampler(0)``.
+    Builds and writes ``trainset_<transform label>.jsonl`` for both
+    ``build-trainset`` and training. ``seed`` seeds the sampling alone: the
+    split and ``embeddings`` stay as the config has them. The resampler is
+    ``None`` unless ``sampling.resample_each_epoch`` is set; then epoch 0's
+    set is ``resampler(0)``.
     """
-    seed = cfg.master_seed if seed is None else seed
-    strategy = samp_mod.SamplingStrategy(
-        transform=dist_mod.TransformSpec.parse(label),
-        neg_per_pos=cfg.neg_per_pos if neg_per_pos is None else neg_per_pos,
-        filter_by_inverse_count=cfg.filter_by_inverse_count or filter_inverse_count,
-    )
+    label = strategy.transform.label()
     pairs, dist = data.pairs("train"), data.train_dist
     resampler = None
     if cfg.resample_each_epoch:
@@ -180,89 +178,72 @@ def _training_set(
 
 
 def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
-    transform_label = args.transform or cfg.sampling_transform
+    sampling = cfg.sampling
+    strategy = replace(
+        sampling,
+        transform=dist_mod.TransformSpec.parse(args.transform or sampling.transform.label()),
+        neg_per_pos=args.neg_ratio or sampling.neg_per_pos,
+        filter_by_inverse_count=sampling.filter_by_inverse_count or args.filter_inverse_count,
+    )
     data = _Corpus(cfg)
     examples, _, path = _training_set(
-        cfg, data, transform_label, _embeddings_for(cfg, data.dialogues("train")),
-        args.seed, args.neg_ratio, args.filter_inverse_count,
+        cfg, data, strategy, _embeddings_for(cfg, data.dialogues("train")),
+        cfg.master_seed if args.seed is None else args.seed,
     )
     positives = sum(e.label for e in examples)
     print(f"wrote {len(examples)} examples ({positives} positive) -> {path}")
     return [], [path]
 
 
-@dataclass
-class _Variant:
-    """One trained variant's inputs, ready for ``enc_mod.train``."""
-
-    label: str
-    model: enc_mod.DualEncoderModel
-    examples: list
-    train_config: enc_mod.TrainConfig
-    resampler: object
-    trainset_path: Path
-
-
-def _prepare_variant(cfg: ExperimentConfig, label: str, data: _Corpus) -> _Variant:
-    """Build and write the ``label`` variant's trainset and make its model."""
-    # A fresh table per variant: training with train_embeddings updates
-    # its matrix in place.
-    embeddings_table = _embeddings_for(cfg, data.dialogues("train"))
-    examples, resampler, trainset_path = _training_set(cfg, data, label, embeddings_table)
-    model = enc_mod.DualEncoderModel.create(
-        embeddings_table,
-        variant=cfg.encoder_variant,
-        hidden=cfg.encoder_hidden,
-        seed=derive_seed(cfg.master_seed, "model-init", label),
-        tied=cfg.encoder_tied,
-        train_embeddings=cfg.train_embeddings,
-    )
-    train_config = enc_mod.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_iterations=cfg.max_iterations,
-        seed=derive_seed(cfg.master_seed, "train", label),
-        gradient_clip_norm=cfg.gradient_clip_norm,
-        eval_every=cfg.eval_every,
-    )
-    return _Variant(label, model, examples, train_config, resampler, trainset_path)
-
-
-def _finish_variant(
-    cfg: ExperimentConfig, data: _Corpus, variant: _Variant, result: enc_mod.TrainResult
-) -> tuple[Path, Path | None, list[Path]]:
-    """Write a trained variant's checkpoint, loss trace and index.
-
-    Returns (checkpoint_path, index_path, artifact_paths), the trainset
-    first among the artifacts.
+def _train_variants(
+    cfg: ExperimentConfig, data: _Corpus, labels
+) -> tuple[dict[str, enc_mod.DualEncoderModel], list[Path]]:
+    """Train one model per negative-sampling transform label, in parallel
+    where there are CPUs for it, once every trainset is written; then write
+    each one's checkpoint, loss trace and index. Returns the models by label
+    and every artifact path, per variant and trainset first.
     """
-    suffix = _safe_label(variant.label)
-    ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
-    ckpt_sha256 = enc_mod.save_checkpoint(variant.model, ckpt_path)
-    trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
-    write_artifact(trace_path, (f"{it}\t{loss!r}\n" for it, loss in result.loss_trace))
-    artifacts = [variant.trainset_path, ckpt_path, trace_path]
-    index_path = None
-    if cfg.build_index:
-        index = retr_mod.build_history_index(
-            variant.model, data.pairs("train"), cfg.response_weight,
-            checkpoint_ref=ckpt_path.name,
-            checkpoint_sha256=ckpt_sha256,
+    models, trainsets, jobs = {}, [], []
+    for label in labels:
+        # A fresh table per variant: training with train_embeddings updates
+        # its matrix in place.
+        embeddings = _embeddings_for(cfg, data.dialogues("train"))
+        strategy = replace(cfg.sampling, transform=dist_mod.TransformSpec.parse(label))
+        examples, resampler, path = _training_set(cfg, data, strategy, embeddings, cfg.master_seed)
+        model = models[label] = enc_mod.DualEncoderModel.create(
+            embeddings, variant=cfg.encoder_variant, hidden=cfg.encoder_hidden,
+            seed=derive_seed(cfg.master_seed, "model-init", label),
+            tied=cfg.encoder_tied, train_embeddings=cfg.train_embeddings,
         )
-        index_path = cfg.output_dir / f"history_{suffix}.idx"
-        retr_mod.save_index(index, index_path)
-        artifacts.append(index_path)
-    return ckpt_path, index_path, artifacts
+        train_cfg = replace(cfg.train, seed=derive_seed(cfg.master_seed, "train", label))
+        jobs.append((model, examples, train_cfg, resampler))
+        trainsets.append(path)
+    logger.info("training variants %s", ", ".join(map(repr, labels)))
+    # One list per argument: models, example sets, configs, resamplers.
+    results = enc_mod.train(*map(list, zip(*jobs)))
+    artifacts: list[Path] = []
+    for (label, model), trainset, result in zip(models.items(), trainsets, results):
+        suffix = _safe_label(label)
+        ckpt_path = cfg.output_dir / f"model_{suffix}.ckpt"
+        ckpt_sha256 = enc_mod.save_checkpoint(model, ckpt_path)
+        trace_path = cfg.output_dir / f"train_{suffix}_loss.tsv"
+        write_artifact(trace_path, (f"{it}\t{loss!r}\n" for it, loss in result.loss_trace))
+        artifacts += [trainset, ckpt_path, trace_path]
+        if cfg.build_index:
+            index = retr_mod.build_history_index(
+                model, data.pairs("train"), cfg.response_weight,
+                checkpoint_ref=ckpt_path.name, checkpoint_sha256=ckpt_sha256,
+            )
+            index_path = cfg.output_dir / f"history_{suffix}.idx"
+            retr_mod.save_index(index, index_path)
+            artifacts.append(index_path)
+    return models, artifacts
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
-    label = args.transform or cfg.sampling_transform
-    data = _Corpus(cfg)
-    v = _prepare_variant(cfg, label, data)
-    result = enc_mod.train(v.model, v.examples, v.train_config, v.resampler)
-    ckpt, index_path, artifacts = _finish_variant(cfg, data, v, result)
-    where = f"{ckpt}" + (f" and {index_path}" if index_path else "")
-    print(f"trained '{label}' variant -> {where}")
+    label = args.transform or cfg.sampling.transform.label()
+    _, artifacts = _train_variants(cfg, _Corpus(cfg), [label])
+    print(f"trained '{label}' variant -> {', '.join(str(p) for p in artifacts[1:])}")
     return [], artifacts
 
 
@@ -298,20 +279,15 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _eval_config(cfg: ExperimentConfig, alt_label: str) -> eval_mod.EvalConfig:
-    return eval_mod.EvalConfig(
-        num_alternatives=cfg.eval_num_alternatives,
-        ks=cfg.eval_ks,
-        alternative_transform=dist_mod.TransformSpec.parse(alt_label),
-        seed=derive_seed(cfg.master_seed, "eval"),
-    )
-
-
 def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
-    alt_label = args.alternative_transform or cfg.eval_alternative_transform
-    eval_cfg = _eval_config(cfg, alt_label)
+    alt_label = args.alternative_transform or cfg.eval.alternative_transform.label()
+    eval_cfg = replace(
+        cfg.eval,
+        alternative_transform=dist_mod.TransformSpec.parse(alt_label),
+        seed=derive_seed(cfg.master_seed, "eval"),
+    )
 
     if args.index:
         scorer = _load_scorer("index", args.index, args.checkpoint)
@@ -346,26 +322,15 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     embeddings = None
     if any(spec.kind == "kde" for spec in alt_transforms.values()):
         embeddings = _embeddings_for(cfg, data.dialogues("train"))
+    eval_cfg = replace(cfg.eval, seed=derive_seed(cfg.master_seed, "eval"))
     # A column whose candidates cannot be drawn fails before any training;
     # the draws use per-pair streams, so the evaluation below is unchanged.
-    for label in cfg.grid_alt_transforms:
-        eval_mod.draw_candidates(test_pairs, train_dist, _eval_config(cfg, label), embeddings)
+    for spec in alt_transforms.values():
+        eval_mod.draw_candidates(
+            test_pairs, train_dist, replace(eval_cfg, alternative_transform=spec), embeddings
+        )
 
-    # Every trainset is written before training starts; the variants train
-    # in one call, in parallel where there are CPUs for it.
-    variants = [_prepare_variant(cfg, label, data) for label in cfg.grid_train_transforms]
-    logger.info("grid: training variants %s", ", ".join(map(repr, cfg.grid_train_transforms)))
-    results = enc_mod.train(
-        [v.model for v in variants], [v.examples for v in variants],
-        [v.train_config for v in variants], [v.resampler for v in variants],
-    )
-    scorers: dict[str, object] = {}
-    artifacts: list[Path] = []
-    for variant, result in zip(variants, results):
-        scorers[variant.label] = variant.model
-        artifacts.extend(_finish_variant(cfg, data, variant, result)[2])
-
-    eval_cfg = _eval_config(cfg, cfg.grid_alt_transforms[0])
+    scorers, artifacts = _train_variants(cfg, data, cfg.grid_train_transforms)
     grid = eval_mod.cross_distribution_grid(
         scorers, alt_transforms, test_pairs, train_dist, eval_cfg, embeddings
     )
@@ -375,7 +340,7 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
         )
         write_artifact(path, [eval_mod.format_eval_report(report)])
         artifacts.append(path)
-    table = eval_mod.format_grid_table(grid, cfg.eval_ks)
+    table = eval_mod.format_grid_table(grid, cfg.eval.ks)
     table_path = out / "grid_table.txt"
     write_artifact(table_path, [table])
     artifacts.append(table_path)

@@ -3,11 +3,13 @@
 The file is a JSON object: ``master_seed``, ``max_context_turns`` and
 the optional sections ``paths``, ``split``, ``sampling``, ``encoder``,
 ``train``, ``eval``, ``retrieval``, ``grid`` and ``annotation``.
-``_FIELDS`` below lists every known field once, with the
-:class:`ExperimentConfig` attribute it sets and its type, minimum and
-choices; the defaults live on :class:`ExperimentConfig` alone. Transform
-labels are ``identity``, ``uniform``, ``power:D`` or ``kde:H``, stored in
-the canonical form of ``TransformSpec.label``. The fields checked by hand:
+``_FIELDS`` below lists every known field once, with the attribute it
+sets and its type, minimum and choices. The ``sampling``, ``train`` and
+``eval`` fields (but ``resample_each_epoch`` and ``split``) set the
+library's own SamplingStrategy, TrainConfig and EvalConfig; each default
+lives on the dataclass that holds its field. Transform labels are
+``identity``, ``uniform``, ``power:D`` or ``kde:H``; grid lists store
+them as the canonical ``TransformSpec.label``. The fields checked by hand:
 
     paths.corpus        corpus file; required by corpus-reading commands
     paths.embeddings    word-vector file; null = random embeddings
@@ -26,12 +28,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .corpus import SplitSpec
 from .distribution import TransformSpec
+from .encoder import TrainConfig
 from .errors import ConfigError
+from .evaluation import EvalConfig
+from .sampling import SamplingStrategy
 
 _SPLIT_NAMES = ("train", "dev", "test")
 
@@ -44,9 +52,7 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
     split_ratio: tuple[int, int, int] = (80, 10, 10)
     max_context_turns: int = 10
-    sampling_transform: str = "identity"
-    neg_per_pos: int = 5
-    filter_by_inverse_count: bool = False
+    sampling: SamplingStrategy = field(default_factory=SamplingStrategy)
     resample_each_epoch: bool = False
     encoder_variant: str = "gru"
     encoder_dim: int = 16
@@ -54,14 +60,8 @@ class ExperimentConfig:
     encoder_tied: bool = True
     train_embeddings: bool = False
     embedding_scale: float = 1.0
-    learning_rate: float = 0.5
-    batch_size: int = 32
-    max_iterations: int = 2000
-    gradient_clip_norm: float = 5.0
-    eval_every: int = 100
-    eval_num_alternatives: int = 9
-    eval_ks: tuple[int, ...] = (1, 3, 5)
-    eval_alternative_transform: str = "identity"
+    train: TrainConfig = field(default_factory=TrainConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
     eval_split: str = "test"
     response_weight: float = 0.4
     build_index: bool = True
@@ -78,8 +78,9 @@ class ExperimentConfig:
 
 
 # (section, key) -> (attribute, type, minimum, choices); section "" is the
-# top level. A TransformSpec type marks a transform label; a type of None
-# marks a field that parse_config checks by hand.
+# top level. A dotted attribute is a field of the library config object the
+# first part names. A TransformSpec type marks a transform label; a type of
+# None marks a field that parse_config checks by hand.
 _FIELDS: dict[tuple[str, str], tuple] = {
     ("", "master_seed"): ("master_seed", int, 0, None),
     ("", "max_context_turns"): ("max_context_turns", int, 1, None),
@@ -87,9 +88,9 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("paths", "embeddings"): ("embeddings_path", None, None, None),
     ("paths", "output_dir"): ("output_dir", str, None, None),
     **{("split", name): ("split_ratio", None, None, None) for name in _SPLIT_NAMES},
-    ("sampling", "transform"): ("sampling_transform", TransformSpec, None, None),
-    ("sampling", "neg_per_pos"): ("neg_per_pos", int, 1, None),
-    ("sampling", "filter_by_inverse_count"): ("filter_by_inverse_count", bool, None, None),
+    ("sampling", "transform"): ("sampling.transform", TransformSpec, None, None),
+    ("sampling", "neg_per_pos"): ("sampling.neg_per_pos", int, 1, None),
+    ("sampling", "filter_by_inverse_count"): ("sampling.filter_by_inverse_count", bool, None, None),
     ("sampling", "resample_each_epoch"): ("resample_each_epoch", bool, None, None),
     ("encoder", "variant"): ("encoder_variant", str, None, ("gru", "attention")),
     ("encoder", "dim"): ("encoder_dim", int, 1, None),
@@ -97,14 +98,14 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("encoder", "tied"): ("encoder_tied", bool, None, None),
     ("encoder", "train_embeddings"): ("train_embeddings", bool, None, None),
     ("encoder", "embedding_scale"): ("embedding_scale", float, 0.0, None),
-    ("train", "learning_rate"): ("learning_rate", float, 0.0, None),
-    ("train", "batch_size"): ("batch_size", int, 1, None),
-    ("train", "max_iterations"): ("max_iterations", int, 1, None),
-    ("train", "gradient_clip_norm"): ("gradient_clip_norm", float, 1e-12, None),
-    ("train", "eval_every"): ("eval_every", int, 1, None),
-    ("eval", "num_alternatives"): ("eval_num_alternatives", int, 1, None),
-    ("eval", "ks"): ("eval_ks", None, None, None),
-    ("eval", "alternative_transform"): ("eval_alternative_transform", TransformSpec, None, None),
+    ("train", "learning_rate"): ("train.learning_rate", float, 0.0, None),
+    ("train", "batch_size"): ("train.batch_size", int, 1, None),
+    ("train", "max_iterations"): ("train.max_iterations", int, 1, None),
+    ("train", "gradient_clip_norm"): ("train.gradient_clip_norm", float, 1e-12, None),
+    ("train", "eval_every"): ("train.eval_every", int, 1, None),
+    ("eval", "num_alternatives"): ("eval.num_alternatives", int, 1, None),
+    ("eval", "ks"): ("eval.ks", None, None, None),
+    ("eval", "alternative_transform"): ("eval.alternative_transform", TransformSpec, None, None),
     ("eval", "split"): ("eval_split", str, None, _SPLIT_NAMES),
     ("retrieval", "response_weight"): ("response_weight", float, None, None),
     ("retrieval", "build_index"): ("build_index", bool, None, None),
@@ -144,12 +145,15 @@ class _Validator:
             return default
         v = obj[key]
         if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
+            v = float(v) if abs(v) <= sys.float_info.max else math.inf if v > 0 else -math.inf
         if kind in (int, float) and isinstance(v, bool):
             self.fail(f"{path}{key}", f"expected {kind.__name__}, got bool")
             return default
         if not isinstance(v, kind):
             self.fail(f"{path}{key}", f"expected {kind.__name__}, got {type(v).__name__}")
+            return default
+        if kind is str and "\0" in v:  # no file name holds one; os calls raise ValueError
+            self.fail(f"{path}{key}", "must not contain a NUL character")
             return default
         if kind is float and not math.isfinite(v):
             self.fail(f"{path}{key}", f"must be finite, got {v}")
@@ -162,9 +166,9 @@ class _Validator:
             return default
         return v
 
-    def transform_label(self, label: str, path: str, default):
+    def transform(self, label: str, path: str, default):
         try:
-            return TransformSpec.parse(label).label()
+            return TransformSpec.parse(label)
         except ConfigError as exc:
             self.fail(path, str(exc))
             return default
@@ -177,7 +181,7 @@ def load_config(path, require_corpus: bool = False) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors, too-long integers
         raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -190,16 +194,23 @@ def parse_config(
     v = _Validator(data)
     sections = {name: v.section(name) for name in _KNOWN}
     cfg = ExperimentConfig(raw=data)
+    # The fields of each library config object, set once all are valid.
+    parts: dict[str, dict] = defaultdict(dict)
     for (name, key), (attr, kind, minimum, choices) in _FIELDS.items():
+        if kind is None:
+            continue
         path = f"{name}." if name else ""
-        default = getattr(cfg, attr)
+        default = attrgetter(attr)(cfg)
         if kind is TransformSpec:
-            label = v.value(sections[name], path, key, str, default)
-            setattr(cfg, attr, v.transform_label(label, f"{path}{key}", default))
-        elif kind is not None:
-            setattr(cfg, attr, v.value(
-                sections[name], path, key, kind, default, minimum, choices
-            ))
+            label = v.value(sections[name], path, key, str, default.label())
+            value = v.transform(label, f"{path}{key}", default)
+        else:
+            value = v.value(sections[name], path, key, kind, default, minimum, choices)
+        part, _, field_name = attr.rpartition(".")
+        if part:
+            parts[part][field_name] = value
+        else:
+            setattr(cfg, attr, value)
 
     paths = sections["paths"]
     if cfg.corpus_path is not None:
@@ -210,8 +221,8 @@ def parse_config(
         v.fail("paths.corpus", "required but missing")
     embeddings = paths.get("embeddings")
     if embeddings is not None:
-        if not isinstance(embeddings, str):
-            v.fail("paths.embeddings", "must be a string or null")
+        if not isinstance(embeddings, str) or "\0" in embeddings:
+            v.fail("paths.embeddings", "must be a string without NUL characters, or null")
         else:
             cfg.embeddings_path = (base_dir / embeddings).resolve()
             if not cfg.embeddings_path.exists():
@@ -227,16 +238,16 @@ def parse_config(
         for name, default in zip(_SPLIT_NAMES, cfg.split_ratio)
     )
 
-    ks = sections["eval"].get("ks", list(cfg.eval_ks))
+    ks = sections["eval"].get("ks", list(cfg.eval.ks))
     if not isinstance(ks, list) or not ks or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in ks
     ):
         v.fail("eval.ks", "must be a non-empty list of integers")
     else:
-        bad = [k for k in ks if not 1 <= k <= cfg.eval_num_alternatives + 1]
+        bad = [k for k in ks if not 1 <= k <= parts["eval"]["num_alternatives"] + 1]
         if bad:
             v.fail("eval.ks", f"values {bad} outside 1..num_alternatives+1")
-        cfg.eval_ks = tuple(ks)
+        parts["eval"]["ks"] = tuple(ks)
 
     for key in _KNOWN["grid"]:
         attr = _FIELDS["grid", key][0]
@@ -246,9 +257,10 @@ def parse_config(
         ):
             v.fail(f"grid.{key}", "must be a non-empty list of transform labels")
             continue
-        labels = [v.transform_label(label, f"grid.{key}", None) for label in labels]
-        if None in labels:
+        specs = [v.transform(label, f"grid.{key}", None) for label in labels]
+        if None in specs:
             continue
+        labels = [spec.label() for spec in specs]
         if len(set(labels)) != len(labels):
             v.fail(f"grid.{key}", "labels must be unique")
         else:
@@ -263,6 +275,7 @@ def parse_config(
                 not isinstance(entry, dict)
                 or entry.get("kind") not in ("checkpoint", "index")
                 or not isinstance(entry.get("path"), str)
+                or "\0" in entry["path"]
             ):
                 v.fail(
                     f"annotation.models.{name}",
@@ -274,4 +287,6 @@ def parse_config(
 
     if v.errors:
         raise ConfigError("invalid configuration", v.errors)
+    for part, values in parts.items():
+        setattr(cfg, part, replace(getattr(cfg, part), **values))
     return cfg

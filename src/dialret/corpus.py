@@ -135,8 +135,8 @@ def parse_dialogues(lines: Iterable[str]) -> ParseResult:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(RecordError(line_no, None, f"invalid JSON: {exc.msg}"))
+        except (ValueError, RecursionError) as exc:  # a too-long integer is a ValueError
+            errors.append(RecordError(line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         dialogue_id = record.get("id") if isinstance(record, dict) else None
         try:

@@ -7,14 +7,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialret import _container, encoder
 from dialret.cli import build_parser, main
-from dialret.config import ExperimentConfig, load_config, parse_config
+from dialret.config import _FIELDS, ExperimentConfig, load_config, parse_config
 from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
 from dialret.distribution import TransformSpec, count_responses
-from dialret.encoder import load_checkpoint, save_checkpoint
+from dialret.encoder import TrainConfig, load_checkpoint, save_checkpoint
 from dialret.errors import ConfigError, DivergenceError
+from dialret.evaluation import EvalConfig
 from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
 from dialret.seeding import derive_seed
 
@@ -115,6 +118,43 @@ class TestConfigValidation:
         path.write_text("{nope", encoding="utf-8")
         assert main(["ingest", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "[" * 5000,  # nested past the JSON parser's recursion limit
+        '{"master_seed": 1' + "0" * 5000 + "}",  # past int's digit limit
+    ], ids=["deep", "long-int"])
+    def test_json_the_parser_refuses_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "is not valid UTF-8 JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, value):
+        config = write_config(tmp_path / "config.json", SAMPLE,
+                              train={"learning_rate": value})
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "train.learning_rate: must be finite, got" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["paths.corpus", "paths.embeddings",
+                                       "paths.output_dir", "annotation.models.m"])
+    def test_nul_in_a_path_exit_2(self, tmp_path, capsys, field):
+        paths = {"corpus": str(SAMPLE), "output_dir": "out"}
+        annotation = {"models": {"m": {"kind": "index", "path": "x.idx"}}}
+        if field == "annotation.models.m":
+            annotation["models"]["m"]["path"] = "x\0.idx"
+        else:
+            paths[field.split(".")[1]] = "a\0b"
+        config = write_config(tmp_path / "config.json", SAMPLE, paths=paths,
+                              annotation=annotation)
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{field}: must" in err
+        assert "Traceback" not in err
+
     def test_non_finite_floats_rejected(self, tmp_path, capsys):
         bad = {
             "train": {"learning_rate": float("nan"), "gradient_clip_norm": float("inf"),
@@ -142,9 +182,9 @@ class TestConfigValidation:
         path = write_config(tmp_path / "config.json", corpus)
         cfg = load_config(path)
         assert cfg.master_seed == 11
-        assert cfg.neg_per_pos == 5
+        assert cfg.sampling.neg_per_pos == 5
         assert cfg.response_weight == 0.4
-        assert cfg.eval_num_alternatives == 9
+        assert cfg.eval.num_alternatives == 9
 
 
     def test_every_field_sets_its_attribute(self, tmp_path):
@@ -173,13 +213,22 @@ class TestConfigValidation:
             "corpus_path": (tmp_path / "c.jsonl").resolve(),
             "embeddings_path": (tmp_path / "emb.txt").resolve(),
             "output_dir": tmp_path / "o", "split_ratio": (70, 20, 10),
-            "sampling_transform": "power:-0.5", "neg_per_pos": 3,
-            "filter_by_inverse_count": True, "resample_each_epoch": True,
+            "sampling": SamplingStrategy(
+                transform=TransformSpec.parse("power:-0.5"), neg_per_pos=3,
+                filter_by_inverse_count=True,
+            ),
+            "resample_each_epoch": True,
             "encoder_variant": "attention", "encoder_dim": 8, "encoder_hidden": 4,
             "encoder_tied": False, "train_embeddings": True, "embedding_scale": 2.0,
-            "learning_rate": 0.1, "batch_size": 8, "max_iterations": 50,
-            "gradient_clip_norm": 2.0, "eval_every": 10, "eval_num_alternatives": 4,
-            "eval_ks": (1, 2), "eval_alternative_transform": "uniform", "eval_split": "dev",
+            "train": TrainConfig(
+                learning_rate=0.1, batch_size=8, max_iterations=50,
+                gradient_clip_norm=2.0, eval_every=10,
+            ),
+            "eval": EvalConfig(
+                num_alternatives=4, ks=(1, 2),
+                alternative_transform=TransformSpec.parse("uniform"),
+            ),
+            "eval_split": "dev",
             "response_weight": 0.3, "build_index": False,
             "grid_train_transforms": ("kde:0.4",),
             "grid_alt_transforms": ("power:1", "uniform"),
@@ -213,8 +262,8 @@ class TestConfigValidation:
         cfg = parse_config({"sampling": {"transform": "KDE"},
                             "eval": {"alternative_transform": "Power:-0.50"},
                             "grid": {"train_transforms": ["identity", "power:1.0"]}}, tmp_path)
-        assert cfg.sampling_transform == "kde:0.4"
-        assert cfg.eval_alternative_transform == "power:-0.5"
+        assert cfg.sampling.transform.label() == "kde:0.4"
+        assert cfg.eval.alternative_transform.label() == "power:-0.5"
         assert cfg.grid_train_transforms == ("identity", "power:1")
 
     def test_one_transform_spelled_three_ways_is_one_grid_variant(self, tmp_path, capsys):
@@ -299,6 +348,54 @@ class TestSubcommands:
         # Only one valid dialogue: split must fail with a data error.
         assert main(["ingest", "--config", str(config)]) == 4
 
+    @pytest.mark.parametrize("line, reason", [
+        ("[" * 5000, "maximum recursion depth exceeded while decoding a JSON array"),
+        ('{"id": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ], ids=["deep", "long-int"])
+    def test_json_the_parser_refuses_is_a_rejected_record(
+        self, workspace, tmp_path, line, reason
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            line + "\n" + (workspace / "corpus.jsonl").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path / "config.json", corpus)
+        assert main(["ingest", "--config", str(config)]) == 0
+        errors = (tmp_path / "out" / "ingest_errors.txt").read_text(encoding="utf-8")
+        assert errors.startswith(f"line 1 (<no id>): invalid JSON: {reason}")
+        assert errors.count("\n") == 1
+        split = (tmp_path / "out" / "train.ids").read_bytes()
+        assert split == (workspace / "out" / "train.ids").read_bytes()
+
+    @pytest.mark.parametrize("train_embeddings", [False, True])
+    def test_train_and_grid_write_one_variant_alike(
+        self, workspace, tmp_path, monkeypatch, train_embeddings
+    ):
+        # One training path: ``train --transform uniform`` writes what the
+        # grid writes for its uniform variant. The grid trains one job at a
+        # time, so a table shared between variants would carry the first
+        # one's trained embeddings into the second.
+        config = write_config(
+            tmp_path / "config.json", workspace / "corpus.jsonl",
+            encoder={"variant": "gru", "dim": 10, "hidden": 10,
+                     "train_embeddings": train_embeddings},
+            grid={"train_transforms": ["identity", "uniform"], "alt_transforms": ["identity"]},
+        )
+        names = ["trainset_uniform.jsonl", "model_uniform.ckpt", "train_uniform_loss.tsv",
+                 "history_uniform.idx"]
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--transform", "uniform"]) == 0
+        trained = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (out / name).unlink()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["grid", "--config", str(config)]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == trained
+        tables = [load_checkpoint(out / f"model_{label}.ckpt").embeddings.matrix
+                  for label in ("identity", "uniform")]
+        assert np.array_equal(*tables) == (not train_embeddings)
+
     def test_build_trainset_flags(self, workspace, capsys):
         config = workspace / "config.json"
         assert main([
@@ -330,7 +427,7 @@ class TestSubcommands:
         )
         pairs = extract_all_pairs(train_dialogues, cfg.max_context_turns)
         strategy = SamplingStrategy(
-            transform=TransformSpec.parse("identity"), neg_per_pos=cfg.neg_per_pos
+            transform=TransformSpec.parse("identity"), neg_per_pos=cfg.sampling.neg_per_pos
         )
         resample = make_epoch_resampler(
             pairs, count_responses(pairs), strategy,
@@ -856,3 +953,70 @@ class TestManifests:
         assert manifest["outputs"]
         for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
             assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A tiny corpus next to which each fuzzed config is written."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    assert main([
+        "make-synthetic-corpus", "--out", str(root / "corpus.jsonl"),
+        "--dialogues", "40", "--responses", "6", "--vocab", "20", "--seed", "3",
+    ]) == 0
+    return root
+
+
+# Every known field and section, as the key path that sets it.
+FUZZ_KEYS = sorted({(s, k) if s else (k,) for s, k in _FIELDS} | {(s,) for s, _ in _FIELDS if s})
+
+WRONG_VALUES = st.one_of(
+    st.booleans(), st.none(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.integers(-3, 12), st.integers(max_value=-1), st.integers(min_value=2**63),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # No "/" or ".": a fuzzed output_dir stays inside the config's directory.
+    st.text(st.characters(blacklist_characters="/."), max_size=10),
+    st.lists(st.integers(-3, 12), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+)
+
+
+class TestConfigFuzz:
+    """Whatever a config file holds, ingest exits 0, 2, 3 or 4 and never raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.dictionaries(st.sampled_from(FUZZ_KEYS), WRONG_VALUES,
+                                  min_size=1, max_size=4))
+    def test_wrong_field_values(self, fuzz_dir, fields):
+        data = json.loads(write_config(fuzz_dir / "config.json", "corpus.jsonl").read_text())
+        for key, value in fields.items():
+            section = data if len(key) == 1 else data.setdefault(key[0], {})
+            if isinstance(section, dict):
+                section[key[-1]] = value
+        path = fuzz_dir / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        # Only a ConfigError: the config objects are built after validation.
+        try:
+            load_config(path, require_corpus=True)
+        except ConfigError:
+            pass
+        assert main(["ingest", "--config", str(path)]) in (0, 2, 3, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(damage=st.sampled_from(["truncate", "flip", "invalid-utf8"]), data=st.data())
+    def test_damaged_bytes(self, fuzz_dir, damage, data):
+        # No output_dir: no damage to the file can point the run elsewhere.
+        config = write_config(fuzz_dir / "config.json", "corpus.jsonl",
+                              paths={"corpus": "corpus.jsonl"})
+        raw = bytearray(config.read_bytes())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if damage == "truncate":
+            del raw[at:]
+        elif damage == "flip":
+            raw[at] ^= data.draw(st.integers(1, 255))
+        else:
+            raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]))
+        config.write_bytes(raw)
+        code = main(["ingest", "--config", str(config)])
+        assert code == 2 if damage == "invalid-utf8" else code in (0, 2, 3, 4)

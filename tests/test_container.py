@@ -296,3 +296,14 @@ def test_retrieve_through_a_corrupt_checkpoint_reference_is_a_missing_input(pris
     path.write_bytes(corrupted(blob, False, 8 * _byte_after(blob, b'"checkpoint_ref": "')))
     assert main(["retrieve", "--index", str(path), "--query", "hello"]) == 3
     assert capsys.readouterr().err.startswith("missing input:")
+
+
+def test_retrieve_on_a_deeply_nested_index_header_is_a_data_error(tmp_path, capsys):
+    # JSON nested past the parser's recursion limit is a malformed header.
+    blob = ("[" * 5000).encode("utf-8")
+    path = tmp_path / "deep.idx"
+    path.write_bytes(b"DRHIDX" + struct.pack("<HQ", 3, len(blob)) + blob)
+    assert main(["retrieve", "--index", str(path), "--query", "hello"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed history index file: RecursionError")
+    assert "Traceback" not in err
