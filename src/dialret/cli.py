@@ -13,6 +13,8 @@ The other three take their inputs from flags alone and write no manifest.
 ``train`` and ``grid`` share one training path, ``train`` being the
 one-variant case: every variant's trainset is written, each variant then
 trains in its own forked child, and then its other artifacts are written.
+``eval`` and ``grid`` share one evaluation set-up: the eval seed, each
+alternative's transform spec and, for kde, the embeddings.
 
 Exit codes: 0 success, 2 bad usage or config, 3 missing input file (or a
 directory in its place, or a file in place of a directory), 4 malformed
@@ -279,16 +281,18 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
+def _alternatives(cfg: ExperimentConfig, data: _Corpus, labels):
+    """Seeded eval config, {label: TransformSpec}, kde embeddings or None."""
+    specs = {label: dist_mod.TransformSpec.parse(label) for label in labels}
+    embeddings = None
+    if any(spec.kind == "kde" for spec in specs.values()):
+        embeddings = _embeddings_for(cfg, data.dialogues("train"))
+    return replace(cfg.eval, seed=derive_seed(cfg.master_seed, "eval")), specs, embeddings
+
+
 def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
-    alt_label = args.alternative_transform or cfg.eval.alternative_transform.label()
-    eval_cfg = replace(
-        cfg.eval,
-        alternative_transform=dist_mod.TransformSpec.parse(alt_label),
-        seed=derive_seed(cfg.master_seed, "eval"),
-    )
-
     if args.index:
         scorer = _load_scorer("index", args.index, args.checkpoint)
         scorer_name = "history-index"
@@ -300,9 +304,9 @@ def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     else:
         raise ConfigError("eval needs --checkpoint or --index")
 
-    embeddings = None
-    if eval_cfg.alternative_transform.kind == "kde":
-        embeddings = _embeddings_for(cfg, data.dialogues("train"))
+    alt_label = args.alternative_transform or cfg.eval.alternative_transform.label()
+    eval_cfg, specs, embeddings = _alternatives(cfg, data, [alt_label])
+    eval_cfg = replace(eval_cfg, alternative_transform=specs[alt_label])
     report = eval_mod.evaluate(scorer, test_pairs, train_dist, eval_cfg, embeddings)
     text = eval_mod.format_eval_report(report)
     path = cfg.output_dir / f"eval_{scorer_name}_{_safe_label(alt_label)}.txt"
@@ -316,13 +320,7 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     out = cfg.output_dir
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
-    alt_transforms = {
-        label: dist_mod.TransformSpec.parse(label) for label in cfg.grid_alt_transforms
-    }
-    embeddings = None
-    if any(spec.kind == "kde" for spec in alt_transforms.values()):
-        embeddings = _embeddings_for(cfg, data.dialogues("train"))
-    eval_cfg = replace(cfg.eval, seed=derive_seed(cfg.master_seed, "eval"))
+    eval_cfg, alt_transforms, embeddings = _alternatives(cfg, data, cfg.grid_alt_transforms)
     # A column whose candidates cannot be drawn fails before any training;
     # the draws use per-pair streams, so the evaluation below is unchanged.
     for spec in alt_transforms.values():

@@ -6,8 +6,10 @@ the optional sections ``paths``, ``split``, ``sampling``, ``encoder``,
 ``_FIELDS`` below lists every known field once, with the attribute it
 sets and its type, minimum and choices. The ``sampling``, ``train`` and
 ``eval`` fields (but ``resample_each_epoch`` and ``split``) set the
-library's own SamplingStrategy, TrainConfig and EvalConfig; each default
-lives on the dataclass that holds its field. Transform labels are
+library's own SamplingStrategy, TrainConfig and EvalConfig. Each default
+lives once: on the dataclass that holds its field, or in the library
+constant the field's default names (``MAX_CONTEXT_TURNS``,
+``DEFAULT_RESPONSE_WEIGHT``, ``RESPONSES_PER_QUESTION``). Transform labels are
 ``identity``, ``uniform``, ``power:D`` or ``kde:H``; grid lists store
 them as the canonical ``TransformSpec.label``. The fields checked by hand:
 
@@ -34,11 +36,12 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .corpus import SplitSpec
+from .corpus import MAX_CONTEXT_TURNS, SplitSpec
 from .distribution import TransformSpec
-from .encoder import TrainConfig
+from .encoder import ENCODERS, TrainConfig
 from .errors import ConfigError
-from .evaluation import EvalConfig
+from .evaluation import RESPONSES_PER_QUESTION, EvalConfig
+from .retrieval import DEFAULT_RESPONSE_WEIGHT
 from .sampling import SamplingStrategy
 
 _SPLIT_NAMES = ("train", "dev", "test")
@@ -51,7 +54,7 @@ class ExperimentConfig:
     embeddings_path: Path | None = None
     output_dir: Path = Path("out")
     split_ratio: tuple[int, int, int] = (80, 10, 10)
-    max_context_turns: int = 10
+    max_context_turns: int = MAX_CONTEXT_TURNS
     sampling: SamplingStrategy = field(default_factory=SamplingStrategy)
     resample_each_epoch: bool = False
     encoder_variant: str = "gru"
@@ -63,12 +66,12 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     eval_split: str = "test"
-    response_weight: float = 0.4
+    response_weight: float = DEFAULT_RESPONSE_WEIGHT
     build_index: bool = True
     grid_train_transforms: tuple[str, ...] = ("identity", "uniform")
     grid_alt_transforms: tuple[str, ...] = ("identity", "uniform")
     annotation_num_questions: int = 20
-    annotation_n_responses: int = 3
+    annotation_n_responses: int = RESPONSES_PER_QUESTION
     annotation_models: dict[str, dict] = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
@@ -92,7 +95,7 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("sampling", "neg_per_pos"): ("sampling.neg_per_pos", int, 1, None),
     ("sampling", "filter_by_inverse_count"): ("sampling.filter_by_inverse_count", bool, None, None),
     ("sampling", "resample_each_epoch"): ("resample_each_epoch", bool, None, None),
-    ("encoder", "variant"): ("encoder_variant", str, None, ("gru", "attention")),
+    ("encoder", "variant"): ("encoder_variant", str, None, tuple(ENCODERS)),
     ("encoder", "dim"): ("encoder_dim", int, 1, None),
     ("encoder", "hidden"): ("encoder_hidden", int, 1, None),
     ("encoder", "tied"): ("encoder_tied", bool, None, None),
@@ -217,7 +220,7 @@ def parse_config(
         cfg.corpus_path = (base_dir / cfg.corpus_path).resolve()
         if not cfg.corpus_path.exists():
             v.fail("paths.corpus", f"file {cfg.corpus_path} does not exist")
-    elif require_corpus:
+    elif require_corpus and "corpus" not in paths:
         v.fail("paths.corpus", "required but missing")
     embeddings = paths.get("embeddings")
     if embeddings is not None:

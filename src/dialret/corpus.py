@@ -31,6 +31,7 @@ from .errors import DataError
 EOU_TOKEN = "⟨eou⟩"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+MAX_CONTEXT_TURNS = 10  # turns a context keeps by default
 
 
 def tokenize(text: str) -> list[str]:
@@ -183,7 +184,7 @@ def dialogue_to_record(dialogue: Dialogue) -> str:
 
 def extract_pairs(
     dialogue: Dialogue,
-    max_context_turns: int = 10,
+    max_context_turns: int = MAX_CONTEXT_TURNS,
     start_pair_id: int = 0,
 ) -> list[ContextResponsePair]:
     """Extract one ⟨context, response⟩ pair per operator turn.
@@ -193,7 +194,7 @@ def extract_pairs(
     when there are fewer), with ``EOU_TOKEN`` between turns.
     """
     if max_context_turns < 1:
-        raise ValueError("max_context_turns must be positive")
+        raise DataError("max_context_turns must be positive")
     pairs = []
     pair_id = start_pair_id
     turn_tokens = [tokenize(t.text) for t in dialogue.turns]
@@ -221,7 +222,7 @@ def extract_pairs(
 
 
 def extract_all_pairs(
-    dialogues: Sequence[Dialogue], max_context_turns: int = 10
+    dialogues: Sequence[Dialogue], max_context_turns: int = MAX_CONTEXT_TURNS
 ) -> list[ContextResponsePair]:
     """Extract pairs from many dialogues with globally unique sequential ids."""
     pairs: list[ContextResponsePair] = []

@@ -131,7 +131,7 @@ class TransformSpec:
 
     ``kind`` is one of ``identity``, ``uniform``, ``power``, ``kde``.
     ``degree`` applies to ``power`` (any finite real); ``bandwidth``
-    applies to ``kde`` (positive real, default 0.4).
+    applies to ``kde`` (positive real; plain ``kde`` takes the default).
     """
 
     kind: str = "identity"
@@ -161,7 +161,7 @@ class TransformSpec:
         return cls("power", degree=float(degree))
 
     @classmethod
-    def kde_smoothed(cls, bandwidth: float = 0.4) -> "TransformSpec":
+    def kde_smoothed(cls, bandwidth: float) -> "TransformSpec":
         return cls("kde", bandwidth=float(bandwidth))
 
     @classmethod
@@ -177,7 +177,7 @@ class TransformSpec:
             if name == "power":
                 return cls.power(float(arg))
             if name == "kde":
-                return cls.kde_smoothed(float(arg) if arg else 0.4)
+                return cls.kde_smoothed(float(arg)) if arg else cls("kde")
         except ValueError:
             raise ConfigError(f"bad transform parameter in {text!r}")
         raise ConfigError(f"unknown transform {text!r}")

@@ -6,7 +6,8 @@ and response r is
 
     p = sigmoid(enc(c)^T  B  enc(r))
 
-with B a square interaction matrix and enc one of two encoders:
+with B a square interaction matrix and enc one of the ``ENCODERS``, each
+a params class that owns its kernels, ``forward`` and ``backward``:
 
 ``gru``
     update gate   z_t = sigmoid(Wz e_t + Uz h_{t-1} + bz)
@@ -235,6 +236,11 @@ def random_embeddings(
     return EmbeddingTable(vocab, vectors)
 
 
+def _time_major(embedded: np.ndarray) -> np.ndarray:
+    """(B, T, D) inputs as (T * B, D) rows, step by step."""
+    return embedded.transpose(1, 0, 2).reshape(-1, embedded.shape[2])
+
+
 @dataclass
 class GruParams:
     """Weights of a single-layer GRU, fused with gate rows in z, r, h order."""
@@ -280,6 +286,83 @@ class GruParams:
         draws = [rng.uniform(-k, k, size=(hidden, n)) for _ in "zrh" for n in (input_dim, hidden)]
         return cls(np.concatenate(draws[0::2]), np.concatenate(draws[1::2]), np.zeros(3 * hidden))
 
+    def forward(self, embedded: np.ndarray, mask: np.ndarray, keep_cache=True):
+        """Output for (B, T, D) inputs and the cache :meth:`backward` reads.
+
+        The cache is ``(gates, states)``, both time-major: z, r and the
+        candidate of every step in one (T, 3, B, H) array, and the (T + 1, B, H)
+        states from h_0 on. With ``keep_cache`` false they hold only the last step.
+        """
+        batch, steps, _ = embedded.shape
+        hidden = self.hidden
+        # The input projections of every step, one matmul per gate, laid out
+        # (3, T, B, H) so each step's gate blocks are contiguous.
+        w = self.w.reshape(3, hidden, -1).transpose(0, 2, 1)
+        x = (_time_major(embedded) @ w + self.b.reshape(3, 1, hidden)).reshape(3, steps, batch, hidden)
+        # z = 0 at padded steps carries h through them exactly, so neither
+        # pass needs the mask inside its loop.
+        x[0][~mask.T] = -np.inf
+        uzr = np.ascontiguousarray(self.u[: 2 * hidden].reshape(2, hidden, hidden).transpose(0, 2, 1))
+        uh = np.ascontiguousarray(self.u[2 * hidden :].T)
+        # Without a cache, one gate slot and two alternating state slots suffice.
+        gates = np.empty((steps if keep_cache else 1, 3, batch, hidden))
+        states = np.zeros((steps + 1 if keep_cache else 2, batch, hidden))
+        for t in range(steps):
+            h = states[t % len(states)]
+            h_next = states[(t + 1) % len(states)]
+            step = gates[t % len(gates)]
+            zr, g = step[:2], step[2]
+            np.matmul(h, uzr, out=zr)
+            zr += x[:2, t]
+            z, r = _sigmoid_inplace(zr)
+            np.matmul(r * h, uh, out=g)
+            g += x[2, t]
+            np.tanh(g, out=g)
+            np.subtract(1.0, z, out=h_next)
+            h_next *= h
+            h_next += z * g
+        return states[steps % len(states)], (gates, states)
+
+    def backward(self, embedded, cache, g_out, input_grads):
+        """Parameter gradients and, if ``input_grads``, the input gradient."""
+        gates, states = cache
+        steps, _, batch, hidden = gates.shape
+        z, r, c = gates.transpose(1, 0, 2, 3)
+        h_prev = states[:-1]
+        # What each pre-activation gradient takes from the gradient of the
+        # state a step produces, for every step at once.
+        dz_factor = (c - h_prev) * z * (1.0 - z)
+        dh_factor = z * (1.0 - c * c)
+        dr_factor = h_prev * r * (1.0 - r)
+        carry = 1.0 - z
+        uz, ur, uh = self.u.reshape(3, hidden, hidden)
+        d_pre = np.empty((3, steps, batch, hidden))
+        dz, dr, dh = d_pre
+        g = g_out
+        for t in reversed(range(steps)):
+            np.multiply(g, dz_factor[t], out=dz[t])
+            np.multiply(g, dh_factor[t], out=dh[t])
+            dh_u = dh[t] @ uh
+            np.multiply(dh_u, dr_factor[t], out=dr[t])
+            g = g * carry[t] + dz[t] @ uz + dr[t] @ ur + dh_u * r[t]
+        # Sums over all steps and rows: one matmul per gate.
+        rows = d_pre.reshape(3, -1, hidden)
+        rows_t = rows.transpose(0, 2, 1)
+        grad_u = np.concatenate([
+            (rows_t[:2] @ h_prev.reshape(-1, hidden)).reshape(-1, hidden),
+            rows_t[2] @ (r * h_prev).reshape(-1, hidden),
+        ])
+        grads = {
+            "w": (rows_t @ _time_major(embedded)).reshape(3 * hidden, -1),
+            "u": grad_u,
+            "b": rows.sum(axis=1).reshape(-1),
+        }
+        d_embedded = None
+        if input_grads:
+            d_rows = (rows @ self.w.reshape(3, hidden, -1)).sum(axis=0)
+            d_embedded = d_rows.reshape(steps, batch, -1).transpose(1, 0, 2)
+        return grads, d_embedded
+
 
 @dataclass
 class AttentionParams:
@@ -317,8 +400,32 @@ class AttentionParams:
             score=rng.uniform(-k, k, size=input_dim),
         )
 
+    def forward(self, embedded: np.ndarray, mask: np.ndarray, keep_cache=True):
+        hidden = np.tanh(embedded @ self.proj.T)
+        scores = hidden @ self.score
+        scores = np.where(mask, scores, -np.inf)
+        scores -= scores.max(axis=1, keepdims=True)
+        weights = np.exp(scores)
+        weights /= weights.sum(axis=1, keepdims=True)
+        out = np.einsum("bt,btd->bd", weights, embedded)
+        return out, (hidden, weights)
+
+    def backward(self, embedded, cache, g_out, input_grads):
+        hidden, weights = cache
+        d_weights = np.einsum("bd,btd->bt", g_out, embedded)
+        d_scores = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
+        d_score_vec = np.einsum("bt,btd->d", d_scores, hidden)
+        d_hidden = d_scores[..., None] * self.score
+        d_pre = d_hidden * (1.0 - hidden * hidden)
+        d_proj = np.einsum("btd,bte->de", d_pre, embedded)
+        d_embedded = None
+        if input_grads:
+            d_embedded = weights[..., None] * g_out[:, None, :] + d_pre @ self.proj
+        return {"proj": d_proj, "score": d_score_vec}, d_embedded
+
 
 EncoderParams = GruParams | AttentionParams
+ENCODERS = {params.variant: params for params in (GruParams, AttentionParams)}
 
 
 def _encoder_prefixes(tied: bool) -> tuple[str, ...]:
@@ -438,127 +545,6 @@ def _pad_batch(
     return idx, mask
 
 
-def _time_major(embedded: np.ndarray) -> np.ndarray:
-    """(B, T, D) inputs as (T * B, D) rows, step by step."""
-    return embedded.transpose(1, 0, 2).reshape(-1, embedded.shape[2])
-
-
-def _gru_forward(p: GruParams, embedded: np.ndarray, mask: np.ndarray, keep_cache=True):
-    batch, steps, _ = embedded.shape
-    hidden = p.hidden
-    # The input projections of every step, one matmul per gate, laid out
-    # (3, T, B, H) so each step's gate blocks are contiguous.
-    w = p.w.reshape(3, hidden, -1).transpose(0, 2, 1)
-    x = (_time_major(embedded) @ w + p.b.reshape(3, 1, hidden)).reshape(3, steps, batch, hidden)
-    # z = 0 at padded steps carries h through them exactly, so neither
-    # pass needs the mask inside its loop.
-    x[0][~mask.T] = -np.inf
-    uzr = np.ascontiguousarray(p.u[: 2 * hidden].reshape(2, hidden, hidden).transpose(0, 2, 1))
-    uh = np.ascontiguousarray(p.u[2 * hidden :].T)
-    # Without a cache, one gate slot and two alternating state slots suffice.
-    gates = np.empty((steps if keep_cache else 1, 3, batch, hidden))
-    states = np.zeros((steps + 1 if keep_cache else 2, batch, hidden))
-    for t in range(steps):
-        h = states[t % len(states)]
-        h_next = states[(t + 1) % len(states)]
-        step = gates[t % len(gates)]
-        zr, g = step[:2], step[2]
-        np.matmul(h, uzr, out=zr)
-        zr += x[:2, t]
-        z, r = _sigmoid_inplace(zr)
-        np.matmul(r * h, uh, out=g)
-        g += x[2, t]
-        np.tanh(g, out=g)
-        np.subtract(1.0, z, out=h_next)
-        h_next *= h
-        h_next += z * g
-    return states[steps % len(states)], (gates, states)
-
-
-def _gru_backward(p: GruParams, embedded, cache, g_out, input_grads):
-    gates, states = cache
-    steps, _, batch, hidden = gates.shape
-    z, r, c = gates.transpose(1, 0, 2, 3)
-    h_prev = states[:-1]
-    # What each pre-activation gradient takes from the gradient of the
-    # state a step produces, for every step at once.
-    dz_factor = (c - h_prev) * z * (1.0 - z)
-    dh_factor = z * (1.0 - c * c)
-    dr_factor = h_prev * r * (1.0 - r)
-    carry = 1.0 - z
-    uz, ur, uh = p.u.reshape(3, hidden, hidden)
-    d_pre = np.empty((3, steps, batch, hidden))
-    dz, dr, dh = d_pre
-    g = g_out
-    for t in reversed(range(steps)):
-        np.multiply(g, dz_factor[t], out=dz[t])
-        np.multiply(g, dh_factor[t], out=dh[t])
-        dh_u = dh[t] @ uh
-        np.multiply(dh_u, dr_factor[t], out=dr[t])
-        g = g * carry[t] + dz[t] @ uz + dr[t] @ ur + dh_u * r[t]
-    # Sums over all steps and rows: one matmul per gate.
-    rows = d_pre.reshape(3, -1, hidden)
-    rows_t = rows.transpose(0, 2, 1)
-    grad_u = np.concatenate([
-        (rows_t[:2] @ h_prev.reshape(-1, hidden)).reshape(-1, hidden),
-        rows_t[2] @ (r * h_prev).reshape(-1, hidden),
-    ])
-    grads = {
-        "w": (rows_t @ _time_major(embedded)).reshape(3 * hidden, -1),
-        "u": grad_u,
-        "b": rows.sum(axis=1).reshape(-1),
-    }
-    d_embedded = None
-    if input_grads:
-        d_rows = (rows @ p.w.reshape(3, hidden, -1)).sum(axis=0)
-        d_embedded = d_rows.reshape(steps, batch, -1).transpose(1, 0, 2)
-    return grads, d_embedded
-
-
-def _attn_forward(p: AttentionParams, embedded: np.ndarray, mask: np.ndarray):
-    hidden = np.tanh(embedded @ p.proj.T)
-    scores = hidden @ p.score
-    scores = np.where(mask, scores, -np.inf)
-    scores -= scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=1, keepdims=True)
-    out = np.einsum("bt,btd->bd", weights, embedded)
-    return out, (hidden, weights)
-
-
-def _attn_backward(p: AttentionParams, embedded, cache, g_out, input_grads):
-    hidden, weights = cache
-    d_weights = np.einsum("bd,btd->bt", g_out, embedded)
-    d_scores = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
-    d_score_vec = np.einsum("bt,btd->d", d_scores, hidden)
-    d_hidden = d_scores[..., None] * p.score
-    d_pre = d_hidden * (1.0 - hidden * hidden)
-    d_proj = np.einsum("btd,bte->de", d_pre, embedded)
-    d_embedded = None
-    if input_grads:
-        d_embedded = weights[..., None] * g_out[:, None, :] + d_pre @ p.proj
-    return {"proj": d_proj, "score": d_score_vec}, d_embedded
-
-
-def _forward(params: EncoderParams, embedded, mask, keep_cache=True):
-    """Encoder output for (B, T, D) inputs and the cache :func:`_backward` reads.
-
-    The GRU cache is ``(gates, states)``, both time-major: z, r and the
-    candidate of every step in one (T, 3, B, H) array, and the (T + 1, B, H)
-    states from h_0 on. With ``keep_cache`` false they hold only the last step.
-    """
-    if isinstance(params, GruParams):
-        return _gru_forward(params, embedded, mask, keep_cache)
-    return _attn_forward(params, embedded, mask)
-
-
-def _backward(params: EncoderParams, embedded, cache, g_out, input_grads):
-    """Parameter gradients and, if ``input_grads``, the input gradient."""
-    if isinstance(params, GruParams):
-        return _gru_backward(params, embedded, cache, g_out, input_grads)
-    return _attn_backward(params, embedded, cache, g_out, input_grads)
-
-
 # Rows per forward pass in encode_batch. A block's inputs and input
 # projections, about rows x T x (2D + 3H) floats, are all it holds.
 ENCODE_BLOCK_ROWS = 256
@@ -580,7 +566,7 @@ def encode_batch(
     for start in range(0, len(order), ENCODE_BLOCK_ROWS):
         rows = order[start : start + ENCODE_BLOCK_ROWS]
         idx, mask = _pad_batch(emb, [seqs[i] for i in rows])
-        out[rows] = _forward(params, emb.matrix[idx], mask, keep_cache=False)[0]
+        out[rows] = params.forward(emb.matrix[idx], mask, keep_cache=False)[0]
     return out
 
 
@@ -637,8 +623,9 @@ def _indexed_loss_and_gradients(model, ctx_idx, ctx_mask, rsp_idx, rsp_mask, lab
     emb = model.embeddings
     ctx_embedded = emb.matrix[ctx_idx]
     rsp_embedded = emb.matrix[rsp_idx]
-    c, ctx_cache = _forward(model.context_encoder, ctx_embedded, ctx_mask)
-    r, rsp_cache = _forward(model.response_encoder, rsp_embedded, rsp_mask)
+    ctx_enc, rsp_enc = model.context_encoder, model.response_encoder
+    c, ctx_cache = ctx_enc.forward(ctx_embedded, ctx_mask)
+    r, rsp_cache = rsp_enc.forward(rsp_embedded, rsp_mask)
     logits = np.sum((c @ model.bilinear) * r, axis=1)
     p = sigmoid(logits)
     p_safe = np.clip(p, _LOG_EPS, 1.0 - _LOG_EPS)
@@ -651,12 +638,8 @@ def _indexed_loss_and_gradients(model, ctx_idx, ctx_mask, rsp_idx, rsp_mask, lab
     d_c = d_logit[:, None] * (r @ model.bilinear.T)
     d_r = d_logit[:, None] * (c @ model.bilinear)
     input_grads = model.train_embeddings
-    ctx_grads, d_ctx_embedded = _backward(
-        model.context_encoder, ctx_embedded, ctx_cache, d_c, input_grads
-    )
-    rsp_grads, d_rsp_embedded = _backward(
-        model.response_encoder, rsp_embedded, rsp_cache, d_r, input_grads
-    )
+    ctx_grads, d_ctx_embedded = ctx_enc.backward(ctx_embedded, ctx_cache, d_c, input_grads)
+    rsp_grads, d_rsp_embedded = rsp_enc.backward(rsp_embedded, rsp_cache, d_r, input_grads)
 
     if model.tied:
         ctx_grads = {name: grad + rsp_grads[name] for name, grad in ctx_grads.items()}
@@ -909,7 +892,6 @@ def train(model, examples, config, resampler=None):
 # "variant", "vocab": [token, ...]}; the payload is model.all_tensors()
 # under their in-memory names. Every dimension comes from the tensors.
 _CKPT_MAGIC = b"DRCKPT"
-_ENCODER_PARAMS = {params.variant: params for params in (GruParams, AttentionParams)}
 
 
 def save_checkpoint(model: DualEncoderModel, path) -> str:
@@ -926,7 +908,7 @@ def save_checkpoint(model: DualEncoderModel, path) -> str:
 def _encoder_from_checkpoint(
     header: dict, prefix: str, tensors: dict[str, np.ndarray]
 ) -> EncoderParams:
-    params = _ENCODER_PARAMS[header["variant"]]
+    params = ENCODERS[header["variant"]]
     sub = {
         name[len(prefix) :]: tensor
         for name, tensor in tensors.items()

@@ -20,8 +20,8 @@ from .corpus import ContextResponsePair
 from .encoder import DualEncoderModel
 from .errors import DataError
 
-# Cosine weight of the response encoding inside a history vector; 0.4
-# performed best in the experiments this library reproduces.
+# Cosine weight of the response encoding inside a history vector; this
+# value performed best in the experiments this library reproduces.
 DEFAULT_RESPONSE_WEIGHT = 0.4
 
 _NORM_EPS = 1e-12

@@ -16,7 +16,7 @@ from dialret.config import _FIELDS, ExperimentConfig, load_config, parse_config
 from dialret.corpus import extract_all_pairs, parse_dialogues, split_corpus
 from dialret.distribution import TransformSpec, count_responses
 from dialret.encoder import TrainConfig, load_checkpoint, save_checkpoint
-from dialret.errors import ConfigError, DivergenceError
+from dialret.errors import ConfigError, DataError, DivergenceError
 from dialret.evaluation import EvalConfig
 from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
 from dialret.seeding import derive_seed
@@ -154,6 +154,24 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{field}: must" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("paths, error", [
+        ({"corpus": 5}, "expected str, got int"),
+        ({"corpus": "a\0b"}, "must not contain a NUL character"),
+        ({}, "required but missing"),
+    ], ids=["int", "nul", "absent"])
+    def test_a_bad_corpus_path_is_one_error(self, tmp_path, paths, error):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"paths": paths}, tmp_path, require_corpus=True)
+        errors = [e for e in exc.value.field_errors if e.startswith("paths.corpus")]
+        assert errors == [f"paths.corpus: {error}"]
+
+    def test_encoder_variant_choices_are_the_encoders(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"encoder": {"variant": "lstm"}}, tmp_path)
+        assert exc.value.field_errors == [
+            f"encoder.variant: must be one of {list(encoder.ENCODERS)}, got 'lstm'"
+        ]
 
     def test_non_finite_floats_rejected(self, tmp_path, capsys):
         bad = {
@@ -711,6 +729,20 @@ class TestSubcommands:
         assert "data error" in err
         assert ("'u'" if defect == "missing" else "tensor b ") in err
 
+    def test_checkpoint_of_an_unknown_variant_exit_4(self, workspace, tmp_path, capsys):
+        model = load_checkpoint(workspace / "out" / "model_identity.ckpt")
+        assert "lstm" not in encoder.ENCODERS
+        header = {"tied": model.tied, "train_embeddings": model.train_embeddings,
+                  "variant": "lstm", "vocab": model.embeddings.tokens_in_index_order()}
+        bad = tmp_path / "lstm.ckpt"
+        _container.write_container(bad, b"DRCKPT", header, model.all_tensors())
+        with pytest.raises(DataError, match="lstm"):
+            load_checkpoint(bad)
+        config = workspace / "config.json"
+        assert main(["eval", "--config", str(config), "--checkpoint", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("bad, code", [("corpus", 4), ("embeddings", 4), ("config", 2)])
     def test_non_utf8_input_exit_code(self, workspace, tmp_path, capsys, bad, code):
         target = tmp_path / f"bad_{bad}"
@@ -835,6 +867,31 @@ class TestSubcommands:
         ):
             report = (tmp_path / "out" / name).read_text(encoding="utf-8")
             assert "recall@1" in report
+
+    def test_eval_writes_the_grids_cell_reports(self, tmp_path, capsys):
+        # One evaluation set-up: eval of a grid checkpoint against one of the
+        # grid's alternatives writes that cell's report byte for byte.
+        corpus = tmp_path / "corpus.jsonl"
+        assert main([
+            "make-synthetic-corpus", "--out", str(corpus), "--dialogues", "120",
+            "--responses", "12", "--vocab", "40",
+        ]) == 0
+        alts = ["identity", "kde:0.4"]
+        grid = {"train_transforms": ["identity", "uniform"], "alt_transforms": alts}
+        configs = {
+            out: write_config(tmp_path / f"{out}.json", corpus, grid=grid,
+                              paths={"corpus": str(corpus), "output_dir": out})
+            for out in ("grid", "eval")
+        }
+        assert main(["grid", "--config", str(configs["grid"])]) == 0
+        for variant in grid["train_transforms"]:
+            checkpoint = tmp_path / "grid" / f"model_{variant}.ckpt"
+            for alt in alts:
+                assert main(["eval", "--config", str(configs["eval"]), "--checkpoint",
+                             str(checkpoint), "--alternative-transform", alt]) == 0
+                alt = alt.replace(":", "_")
+                report = (tmp_path / "eval" / f"eval_dual-encoder_{alt}.txt").read_bytes()
+                assert report == (tmp_path / "grid" / f"grid_{variant}__alt_{alt}.txt").read_bytes()
 
     @pytest.mark.parametrize("failing", ["identity", "uniform"])
     def test_grid_with_a_diverging_variant_fails_as_on_one_cpu(

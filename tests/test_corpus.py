@@ -164,6 +164,11 @@ class TestExtractPairs:
         d = make_dialogue("d", "Q1", "A1")
         assert len(extract_pairs(d, max_context_turns=100)) == 1
 
+    def test_no_context_turns_is_a_data_error(self):
+        d = make_dialogue("d", "Q1", "A1")
+        with pytest.raises(DataError, match="max_context_turns must be positive"):
+            extract_pairs(d, max_context_turns=0)
+
     def test_truncated_context_keeps_most_recent_turn(self):
         d = make_dialogue("d", "Q1", "A1", "Q2", "A2")
         pairs = extract_pairs(d, max_context_turns=1)

@@ -21,7 +21,6 @@ from dialret.encoder import (
     GruParams,
     TrainConfig,
     _epoch_batches,
-    _forward,
     _pad_batch,
     encode,
     encode_batch,
@@ -174,7 +173,7 @@ class TestEncode:
         for _ in range(20):
             tokens = [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 9)))]
             idx, mask = _pad_batch(emb, [tokens])
-            _, (_, weights) = _forward(params, emb.matrix[idx], mask)
+            _, (_, weights) = params.forward(emb.matrix[idx], mask)
             w = weights[0]
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
@@ -183,12 +182,12 @@ class TestEncode:
         emb = random_embeddings(tiny_vocab(), 6, 2.0, seed=6)
         rng = np.random.default_rng(7)
         params = GruParams.create(6, 5, rng)
-        from dialret.encoder import _forward, _pad_batch
+        from dialret.encoder import _pad_batch
 
         for _ in range(10):
             tokens = [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(2, 12)))]
             idx, mask = _pad_batch(emb, [tokens])
-            final, (_, h) = _forward(params, emb.matrix[idx], mask)
+            final, (_, h) = params.forward(emb.matrix[idx], mask)
             states = np.concatenate([h[1:-1, 0], final], axis=0)
             assert np.all(states > -1.0) and np.all(states < 1.0)
 
@@ -230,11 +229,11 @@ class TestEncode:
             [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 10)))]
             for _ in range(9)
         ]
-        from dialret.encoder import _forward, _pad_batch
+        from dialret.encoder import _pad_batch
 
         idx, mask = _pad_batch(emb, seqs)
         assert not mask.all()
-        final, _ = _forward(params, emb.matrix[idx], mask)
+        final, _ = params.forward(emb.matrix[idx], mask)
         for row, seq in zip(final, seqs):
             assert np.max(np.abs(row - reference_gru(params, emb, seq))) < 1e-12
 
