@@ -908,7 +908,11 @@ def save_checkpoint(model: DualEncoderModel, path) -> str:
 def _encoder_from_checkpoint(
     header: dict, prefix: str, tensors: dict[str, np.ndarray]
 ) -> EncoderParams:
-    params = ENCODERS[header["variant"]]
+    params = ENCODERS.get(header["variant"])
+    if params is None:
+        raise DataError(
+            f"checkpoint variant {header['variant']!r} is not one of {sorted(ENCODERS)}"
+        )
     sub = {
         name[len(prefix) :]: tensor
         for name, tensor in tensors.items()

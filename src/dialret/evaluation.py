@@ -9,12 +9,23 @@ under test; the pair counts as a hit at k when the true response lands
 in the top k. Ties are resolved against the true response, so a
 constant scorer gets recall 0 rather than a freebie.
 
-Scorers: a DualEncoderModel, a HistoryIndex, any object with a
-``score_candidates(context_tokens, candidate_responses)`` method, or a
-bare callable with that signature, which :func:`resolve_scorer` returns
-for each. Alternative draws depend only on (seed, pair_id, transform),
-so two models evaluated under the same config see identical candidate
-lists.
+Alternative draws depend only on (seed, pair_id, transform), so two
+models evaluated under the same config see identical candidate lists.
+
+Scoring is separate from drawing: :func:`evaluate` draws every pair's
+list first, then scores the lists in blocks of about
+``SCORE_BLOCK_ROWS`` candidates. :func:`resolve_scorer` turns each kind
+of scorer into a list scorer, an object whose
+``score_lists(contexts, candidate_lists)`` returns one row of scores per
+context, for lists of one length. A DualEncoderModel becomes a
+:class:`DualEncoderScorer` and a HistoryIndex a
+:class:`HistoryIndexScorer`: each encodes a block's contexts in one
+batch and its uncached candidates in another, and the index scorer takes
+its nearest-row cosines one fixed-size tile at a time. Their
+``score_candidates(context_tokens, candidates)`` is the one-pair case.
+Any other object with that method, or a bare callable with that
+signature, is wrapped in a one-pair adapter that calls it once per pair,
+in pair order. Each block's scores are checked for shape and finiteness.
 """
 
 from __future__ import annotations
@@ -64,6 +75,17 @@ class EvalReport:
     ranks: tuple[int, ...] | None = None
 
 
+# Candidate rows scored per call of a list scorer in evaluate and
+# export_annotation: a block holds as many whole test pairs as fit, and
+# at least one. Each block costs one context encode and one response encode.
+SCORE_BLOCK_ROWS = 4096
+# One 1 MiB tile of candidate-by-index-row cosines in HistoryIndexScorer.
+# Both sides are hundreds long: a tile only tens of columns wide ran the
+# index scorer several times slower on a 2-CPU x86 host.
+SCORE_TILE_ROWS = 256
+SCORE_TILE_COLS = 512
+
+
 class _CachedEncoder:
     """A scorer's model and its cache of candidate-response encodings.
 
@@ -75,23 +97,31 @@ class _CachedEncoder:
         self.model = model
         self._cache: dict[str, np.ndarray] = {}
 
-    def _response_vectors(self, candidates: Sequence[str]) -> np.ndarray:
-        missing = [c for c in candidates if c not in self._cache]
+    def _response_vectors(self, candidate_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """(lists, candidates per list, dim) encodings; one encode of the uncached."""
+        flat = [c for candidates in candidate_lists for c in candidates]
+        missing = list(dict.fromkeys(c for c in flat if c not in self._cache))
         if missing:
             encoded = self.model.encode_responses([c.split(" ") for c in missing])
             self._cache.update(zip(missing, encoded))
-        return np.stack([self._cache[c] for c in candidates])
+        vectors = np.stack([self._cache[c] for c in flat])
+        return vectors.reshape(len(candidate_lists), -1, vectors.shape[1])
 
 
 class DualEncoderScorer(_CachedEncoder):
     """Ranks candidates by the pairwise sigmoid probability."""
 
+    def score_lists(
+        self, contexts: Sequence[Sequence[str]], candidate_lists: Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        projected = self.model.encode_contexts(contexts) @ self.model.bilinear
+        responses = self._response_vectors(candidate_lists)
+        return sigmoid(np.einsum("bnd,bd->bn", responses, projected))
+
     def score_candidates(
         self, context_tokens: Sequence[str], candidates: Sequence[str]
     ) -> np.ndarray:
-        c = self.model.encode_context(context_tokens)
-        responses = self._response_vectors(candidates)
-        return sigmoid(responses @ (self.model.bilinear.T @ c))
+        return self.score_lists([context_tokens], [candidates])[0]
 
 
 class HistoryIndexScorer(_CachedEncoder):
@@ -107,43 +137,99 @@ class HistoryIndexScorer(_CachedEncoder):
         super().__init__(index._require_model())
         self.index = index
 
+    def score_lists(
+        self, contexts: Sequence[Sequence[str]], candidate_lists: Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        responses = self._response_vectors(candidate_lists)
+        lists, per_list, dim = responses.shape
+        rows, _ = history_rows(
+            np.repeat(self.model.encode_contexts(contexts), per_list, axis=0),
+            responses.reshape(-1, dim),
+            self.index.response_weight,
+        )
+        return _max_cosines(rows, self.index.vectors).reshape(lists, per_list)
+
     def score_candidates(
         self, context_tokens: Sequence[str], candidates: Sequence[str]
     ) -> np.ndarray:
-        vectors, _ = history_rows(
-            self.model.encode_context(context_tokens)[None, :],
-            self._response_vectors(candidates),
-            self.index.response_weight,
-        )
-        # One row per candidate, so each max runs along a contiguous row.
-        return (vectors @ self.index.vectors.T).max(axis=1)
+        return self.score_lists([context_tokens], [candidates])[0]
 
 
-def resolve_scorer(scorer) -> Callable[[Sequence[str], Sequence[str]], np.ndarray]:
-    """The ``(context_tokens, candidates) -> scores`` function of a scorer."""
+def _max_cosines(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Each row's largest dot product with a row of ``vectors``.
+
+    The products are taken one ``SCORE_TILE_ROWS`` x ``SCORE_TILE_COLS``
+    tile at a time into one buffer, so memory does not grow with the
+    number of rows or vectors.
+    """
+    tile = np.empty(SCORE_TILE_ROWS * SCORE_TILE_COLS)
+    best = np.full(len(rows), -np.inf)
+    for top in range(0, len(rows), SCORE_TILE_ROWS):
+        part = rows[top : top + SCORE_TILE_ROWS]
+        part_best = best[top : top + SCORE_TILE_ROWS]
+        for start in range(0, len(vectors), SCORE_TILE_COLS):
+            block = vectors[start : start + SCORE_TILE_COLS]
+            products = tile[: len(part) * len(block)].reshape(len(part), len(block))
+            # One row per candidate, so each max runs along a contiguous row.
+            np.matmul(part, block.T, out=products)
+            np.maximum(part_best, products.max(axis=1), out=part_best)
+    return best
+
+
+class _PerPair:
+    """A ``(context_tokens, candidates) -> scores`` function as a list scorer."""
+
+    def __init__(self, score_fn: Callable[[Sequence[str], Sequence[str]], np.ndarray]):
+        self.score_fn = score_fn
+
+    def score_lists(self, contexts, candidate_lists) -> np.ndarray:
+        return np.stack([
+            _checked(self.score_fn(context, candidates), (len(candidates),))
+            for context, candidates in zip(contexts, candidate_lists)
+        ])
+
+
+def resolve_scorer(scorer):
+    """The list scorer of ``scorer``: an object with ``score_lists``."""
     if isinstance(scorer, DualEncoderModel):
-        return DualEncoderScorer(scorer).score_candidates
+        return DualEncoderScorer(scorer)
     if isinstance(scorer, HistoryIndex):
-        return HistoryIndexScorer(scorer).score_candidates
-    if hasattr(scorer, "score_candidates"):
-        return scorer.score_candidates
-    if callable(scorer):
+        return HistoryIndexScorer(scorer)
+    if hasattr(scorer, "score_lists"):
         return scorer
+    if hasattr(scorer, "score_candidates"):
+        return _PerPair(scorer.score_candidates)
+    if callable(scorer):
+        return _PerPair(scorer)
     raise DataError(f"cannot interpret {type(scorer).__name__} as a scorer")
 
 
-def _scores(score_fn, context_tokens, candidates: Sequence[str]) -> np.ndarray:
-    """A resolved scorer's scores, checked to be one finite float per candidate.
+def _checked(scores, shape: tuple[int, ...]) -> np.ndarray:
+    """``scores`` as floats, checked to have ``shape`` and be finite.
 
     NaN compares false with everything, so an unchecked NaN score would
     rank every true response first.
     """
-    scores = np.asarray(score_fn(context_tokens, candidates), dtype=np.float64)
-    if scores.shape != (len(candidates),):
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != shape:
         raise DataError("scorer returned wrong number of scores")
     if not np.all(np.isfinite(scores)):
         raise NumericError("scorer returned non-finite scores")
     return scores
+
+
+def _scored_blocks(scorer, contexts, candidate_lists):
+    """Yield checked (pairs, candidates) score arrays, block by block in order.
+
+    Every candidate list must have the same length; a block holds
+    ``SCORE_BLOCK_ROWS`` candidates, or one list if that is longer.
+    """
+    per_list = len(candidate_lists[0])
+    step = max(1, SCORE_BLOCK_ROWS // per_list)
+    for start in range(0, len(contexts), step):
+        lists = candidate_lists[start : start + step]
+        scores = scorer.score_lists(contexts[start : start + step], lists)
+        yield _checked(scores, (len(lists), per_list))
 
 
 def draw_candidates(
@@ -179,12 +265,13 @@ def evaluate(
 
     ``embeddings`` is only needed when the alternative transform is kde.
     """
-    resolved = resolve_scorer(scorer)
-    ranks: list[int] = []
-    for pair, candidates in zip(test_pairs, draw_candidates(test_pairs, train_dist, cfg, embeddings)):
-        scores = _scores(resolved, pair.context_tokens, candidates)
-        ranks.append(1 + int(np.sum(scores[1:] >= scores[0])))
-    rank_array = np.array(ranks)
+    scorer = resolve_scorer(scorer)
+    candidates = draw_candidates(test_pairs, train_dist, cfg, embeddings)
+    contexts = [pair.context_tokens for pair in test_pairs]
+    rank_array = np.concatenate([
+        1 + np.sum(scores[:, 1:] >= scores[:, :1], axis=1)
+        for scores in _scored_blocks(scorer, contexts, candidates)
+    ])
     recalls = {k: float(np.mean(rank_array <= k)) for k in cfg.ks}
     return EvalReport(
         recalls=recalls,
@@ -192,7 +279,7 @@ def evaluate(
         num_alternatives=cfg.num_alternatives,
         alternative_transform=cfg.alternative_transform.label(),
         seed=cfg.seed,
-        ranks=tuple(ranks),
+        ranks=tuple(rank_array.tolist()),
     )
 
 
@@ -348,10 +435,12 @@ def export_annotation(
         scorers = {"model": scorers}
     resolved = {name: resolve_scorer(s) for name, s in scorers.items()}
     pool = list(dict.fromkeys(response_pool))
+    contexts = [context_tokens for _, context_tokens in questions]
     rows: list[AnnotationRow] = []
     for name, scorer in resolved.items():
-        for question_id, context_tokens in questions:
-            scores = _scores(scorer, context_tokens, pool)
+        blocks = _scored_blocks(scorer, contexts, [pool] * len(questions))
+        per_question = (scores for block in blocks for scores in block)
+        for (question_id, _), scores in zip(questions, per_question):
             for rank, i in enumerate(_top_k_rows(scores, n_responses), start=1):
                 rows.append(AnnotationRow(str(question_id), rank, pool[i], "", name))
     rng = derive_rng(seed, "annotation-shuffle")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -736,12 +737,13 @@ class TestSubcommands:
                   "variant": "lstm", "vocab": model.embeddings.tokens_in_index_order()}
         bad = tmp_path / "lstm.ckpt"
         _container.write_container(bad, b"DRCKPT", header, model.all_tensors())
-        with pytest.raises(DataError, match="lstm"):
+        message = f"checkpoint variant 'lstm' is not one of {sorted(encoder.ENCODERS)}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_checkpoint(bad)
         config = workspace / "config.json"
         assert main(["eval", "--config", str(config), "--checkpoint", str(bad)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "Traceback" not in err
+        assert err.startswith("data error:") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("bad, code", [("corpus", 4), ("embeddings", 4), ("config", 2)])
     def test_non_utf8_input_exit_code(self, workspace, tmp_path, capsys, bad, code):

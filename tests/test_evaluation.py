@@ -1,11 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialret import evaluation
 from dialret.corpus import ContextResponsePair
 from dialret.distribution import ResponseDistribution, TransformSpec, count_responses
-from dialret.encoder import DualEncoderModel, random_embeddings, score_pair
+from dialret.encoder import DualEncoderModel, random_embeddings, score_pair, sigmoid
 from dialret.errors import CandidatePoolError, DataError, NumericError
 from dialret.evaluation import (
     AnnotationRecord,
@@ -14,6 +18,7 @@ from dialret.evaluation import (
     EvalReport,
     HistoryIndexScorer,
     cross_distribution_grid,
+    draw_candidates,
     evaluate,
     export_annotation,
     format_eval_report,
@@ -24,7 +29,7 @@ from dialret.evaluation import (
     write_annotation_file,
     write_annotation_key,
 )
-from dialret.retrieval import build_history_index
+from dialret.retrieval import HistoryIndex, build_history_index
 
 
 def pair(pid, ctx, response):
@@ -222,6 +227,180 @@ class TestModelScorers:
         dist = count_responses(pairs)
         report = evaluate(index, pairs, dist, EvalConfig(ks=(1,), seed=12))
         assert report.recalls[1] > 0.9
+
+
+def per_pair_dual_encoder(model):
+    """The pre-block DualEncoderScorer: one context encode per pair."""
+    def score(ctx, cands):
+        responses = model.encode_responses([c.split(" ") for c in cands])
+        return sigmoid(responses @ (model.bilinear.T @ model.encode_context(ctx)))
+    return score
+
+
+def per_pair_history_index(index):
+    """The pre-block HistoryIndexScorer: one full index product per pair."""
+    def score(ctx, cands):
+        vectors = index.model.encode_context(ctx) + index.response_weight * (
+            index.model.encode_responses([c.split(" ") for c in cands])
+        )
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        return (vectors @ index.vectors.T).max(axis=1)
+    return score
+
+
+def per_pair_report(score_fn, test_pairs, dist, cfg):
+    """The pre-block evaluate: one scorer call per pair, in pair order."""
+    ranks = []
+    for p, cands in zip(test_pairs, draw_candidates(test_pairs, dist, cfg)):
+        scores = np.asarray(score_fn(p.context_tokens, cands), dtype=np.float64)
+        ranks.append(1 + int(np.sum(scores[1:] >= scores[0])))
+    return EvalReport(
+        recalls={k: float(np.mean(np.array(ranks) <= k)) for k in cfg.ks},
+        num_pairs=len(test_pairs), num_alternatives=cfg.num_alternatives,
+        alternative_transform=cfg.alternative_transform.label(), seed=cfg.seed,
+        ranks=tuple(ranks),
+    )
+
+
+class ListScorer:
+    """Scores each block with ``block_fn(block number, contexts, candidate_lists)``."""
+
+    def __init__(self, block_fn):
+        self.block_fn = block_fn
+        self.blocks = 0
+
+    def score_lists(self, contexts, candidate_lists):
+        self.blocks += 1
+        return self.block_fn(self.blocks, contexts, candidate_lists)
+
+
+class TestBlockedScoring:
+    """Blocks of 3 pairs of 10 candidates, 7 x 11 tiles over a 53-row index."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ROWS", 35)
+        monkeypatch.setattr(evaluation, "SCORE_TILE_ROWS", 7)
+        monkeypatch.setattr(evaluation, "SCORE_TILE_COLS", 11)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        vocab = ["ctx", "resp", "ok"] + [str(i) for i in range(60)]
+        model = DualEncoderModel.create(
+            random_embeddings(vocab, 8, 1.0, seed=21), variant="gru", hidden=8, seed=21
+        )
+        # Contexts of 2 to 6 tokens, so blocks pad to different lengths.
+        pairs = [
+            pair(i, ["ctx"] + [str((i * 7 + j) % 60) for j in range(1 + i % 5)], f"resp {i % 15}")
+            for i in range(53)
+        ]
+        return model, build_history_index(model, pairs), pairs, count_responses(pairs)
+
+    @pytest.mark.parametrize("kind", ["model", "index"])
+    def test_blocks_match_the_per_pair_scorer(self, setup, kind):
+        model, index, pairs, dist = setup
+        scorer, reference = (
+            (model, per_pair_dual_encoder(model)) if kind == "model"
+            else (index, per_pair_history_index(index))
+        )
+        cfg = EvalConfig(ks=(1, 3), seed=22)
+        candidates = draw_candidates(pairs, dist, cfg)
+        blocks = list(evaluation._scored_blocks(
+            evaluation.resolve_scorer(scorer), [p.context_tokens for p in pairs], candidates
+        ))
+        assert len(blocks) == 18
+        expected = np.stack([reference(p.context_tokens, c) for p, c in zip(pairs, candidates)])
+        assert np.max(np.abs(np.concatenate(blocks) - expected)) <= 1e-12
+        report = evaluate(scorer, pairs, dist, cfg)
+        assert report == per_pair_report(reference, pairs, dist, cfg)
+
+    def test_per_pair_scorers_report_as_before(self, setup):
+        _, _, pairs, dist = setup
+        cfg = EvalConfig(ks=(1, 3, 5), seed=23)
+
+        class Custom:
+            def __init__(self):
+                self.rng = np.random.default_rng(24)
+
+            def score_candidates(self, ctx, cands):
+                return self.rng.random(len(cands))
+
+        assert evaluate(Custom(), pairs, dist, cfg) == per_pair_report(
+            Custom().score_candidates, pairs, dist, cfg
+        )
+        rngs = [np.random.default_rng(25) for _ in range(2)]
+        assert evaluate(lambda ctx, cands: rngs[0].random(len(cands)), pairs, dist, cfg) == (
+            per_pair_report(lambda ctx, cands: rngs[1].random(len(cands)), pairs, dist, cfg)
+        )
+
+    def test_nan_inside_a_block_is_rejected(self, setup):
+        _, _, pairs, dist = setup
+
+        def block_fn(block, contexts, candidate_lists):
+            scores = np.zeros((len(contexts), len(candidate_lists[0])))
+            if block == 4:
+                scores[1, 5] = np.nan
+            return scores
+
+        scorer = ListScorer(block_fn)
+        with pytest.raises(NumericError):
+            evaluate(scorer, pairs, dist, EvalConfig(seed=26))
+        assert scorer.blocks == 4
+
+    @pytest.mark.parametrize("shape", [lambda b, n: (b, n - 1), lambda b, n: (b * n,),
+                                       lambda b, n: (b + 1, n), lambda b, n: (b, n, 1)])
+    def test_a_wrongly_shaped_block_is_rejected(self, setup, shape):
+        _, _, pairs, dist = setup
+        scorer = ListScorer(lambda block, contexts, lists: np.zeros(
+            shape(len(contexts), len(lists[0])) if block == 2 else (len(contexts), len(lists[0]))
+        ))
+        with pytest.raises(DataError, match="wrong number of scores"):
+            evaluate(scorer, pairs, dist, EvalConfig(seed=27))
+        assert scorer.blocks == 2
+
+    def test_grid_cells_equal_evaluate(self, setup):
+        model, index, pairs, dist = setup
+        alts = {"identity": TransformSpec.identity(), "uniform": TransformSpec.uniform()}
+        cfg = EvalConfig(ks=(1, 3), seed=28)
+        grid = cross_distribution_grid({"model": model, "index": index}, alts, pairs, dist, cfg)
+        for alt, spec in alts.items():
+            cell_cfg = replace(cfg, alternative_transform=spec)
+            assert grid.report(alt, "model") == evaluate(model, pairs, dist, cell_cfg)
+            assert grid.report(alt, "index") == evaluate(index, pairs, dist, cell_cfg)
+
+    def test_export_scores_each_question_like_the_per_pair_scorer(self, setup):
+        model, index, pairs, _ = setup
+        pool = [f"resp {i}" for i in range(40)]
+        questions = [(str(p.pair_id), p.context_tokens) for p in pairs[:5]]
+        for scorer, reference in ((model, per_pair_dual_encoder(model)),
+                                  (index, per_pair_history_index(index))):
+            assert export_annotation(scorer, questions, pool, n_responses=4, seed=29) == (
+                export_annotation(reference, questions, pool, n_responses=4, seed=29)
+            )
+
+
+def test_export_with_an_index_keeps_memory_to_one_tile():
+    """The pool-by-index score matrix is never built: with 1500 pool
+    responses and a 6000-row index it would take 72 MB per question."""
+    rng = np.random.default_rng(30)
+    vocab = ["ctx"] + [f"w{i}" for i in range(1500)]
+    model = DualEncoderModel.create(
+        random_embeddings(vocab, 8, 1.0, seed=31), variant="gru", hidden=8, seed=31
+    )
+    vectors = rng.standard_normal((6000, 8))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    index = HistoryIndex(0.4, np.arange(6000), vectors, ["w0"] * 6000, model=model)
+    pool = vocab[1:]
+    questions = [(f"q{i}", ("ctx", f"w{i}")) for i in range(3)]
+    tracemalloc.start()
+    try:
+        rows = export_annotation(index, questions, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 9
+    tile_bytes = 8 * evaluation.SCORE_TILE_ROWS * evaluation.SCORE_TILE_COLS
+    assert peak < 2 * tile_bytes + (1 << 20)
 
 
 class TestGrid:
