@@ -65,6 +65,7 @@ from .sampling import (
     AliasSampler,
     SamplingStrategy,
     TrainingExample,
+    TrainingSet,
     build_training_set,
     draw_negatives,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingExample",
+    "TrainingSet",
     "TransformSpec",
     "Turn",
     "build_history_index",

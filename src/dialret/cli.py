@@ -192,7 +192,7 @@ def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Pa
         cfg, data, strategy, _embeddings_for(cfg, data.dialogues("train")),
         cfg.master_seed if args.seed is None else args.seed,
     )
-    positives = sum(e.label for e in examples)
+    positives = int(examples.labels.sum())
     print(f"wrote {len(examples)} examples ({positives} positive) -> {path}")
     return [], [path]
 

@@ -45,14 +45,15 @@ example set. Everything else encodes through three methods of
 :class:`DualEncoderModel` that make the same cut: ``encode_context`` (one
 context), ``encode_contexts`` and ``encode_responses`` (batches).
 
-Training indexes each example set once: contexts and responses become
-OOV-padded token-index matrices with a length per row, and each batch is
-a slice of them, trimmed to its longest sequence. Batches are bucketed to
-cut GRU steps: shuffle, sort each chunk of ``BUCKET_BATCHES`` batches by
-context length, cut the batches, shuffle their order. Inference
-(:func:`encode_batch`) runs the forward pass in blocks of
-``ENCODE_BLOCK_ROWS`` rows of similar length and keeps no per-step cache,
-so its memory is bounded by one block whatever the number of sequences.
+Training indexes each example set once: each context and each distinct
+response becomes one row of an OOV-padded token-index matrix with its
+length, and each batch gathers its examples' rows, trimmed to its longest
+sequence. Batches are bucketed to cut GRU steps: shuffle, sort each chunk
+of ``BUCKET_BATCHES`` batches by context length, cut the batches, shuffle
+their order. Inference (:func:`encode_batch`) runs the forward pass in
+blocks of ``ENCODE_BLOCK_ROWS`` rows of similar length and keeps no
+per-step cache, so its memory is bounded by one block whatever the number
+of sequences.
 """
 
 from __future__ import annotations
@@ -64,16 +65,14 @@ import pickle
 import select
 import signal
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
 from ._container import read_container, write_container
 from .corpus import read_text_lines
 from .errors import DataError, DialretError, DivergenceError, NonFiniteParameterError
-
-if TYPE_CHECKING:
-    from .sampling import TrainingExample
+from .sampling import TrainingExample, TrainingSet
 
 logger = logging.getLogger(__name__)
 
@@ -165,9 +164,9 @@ def load_embeddings(source, expected_dim: int | None = None) -> EmbeddingTable:
     """Load the standard text word-vector format.
 
     First line is ``count dim``; each following line is a token and
-    ``dim`` floats, space-separated. Duplicate tokens keep the first
-    occurrence (a warning is logged). ``source`` may be a path or an
-    iterable of lines.
+    ``dim`` floats, space-separated, and ``count`` is the number of those
+    lines (blank lines aside). Duplicate tokens keep the first occurrence
+    (a warning is logged). ``source`` may be a path or an iterable of lines.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         return load_embeddings(read_text_lines(source, "embedding file"), expected_dim)
@@ -177,21 +176,26 @@ def load_embeddings(source, expected_dim: int | None = None) -> EmbeddingTable:
     except StopIteration:
         raise DataError("embedding file is empty")
     parts = header.split()
+    # Quoted cut short: a count may run to thousands of digits.
+    shown = header.strip()
+    shown = repr(shown[:40]) + ("..." if len(shown) > 40 else "")
     if len(parts) != 2:
-        raise DataError(f"bad embedding header {header.strip()!r}; expected 'count dim'")
+        raise DataError(f"bad embedding header {shown}; expected 'count dim'")
     try:
         declared_count, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise DataError(f"bad embedding header {header.strip()!r}; expected 'count dim'")
+        raise DataError(f"bad embedding header {shown}; expected 'count dim'")
     if declared_count < 1 or dim < 1:
         raise DataError("embedding header must declare positive count and dim")
     if expected_dim is not None and dim != expected_dim:
         raise DataError(f"embedding dim {dim} does not match expected {expected_dim}")
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    vectors = 0
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
+        vectors += 1
         fields = line.rstrip("\n").split(" ")
         token = fields[0]
         values = [f for f in fields[1:] if f]
@@ -208,8 +212,10 @@ def load_embeddings(source, expected_dim: int | None = None) -> EmbeddingTable:
             continue
         vocab[token] = len(rows)
         rows.append(row)
-    if not rows:
-        raise DataError("embedding file declares no vectors")
+    if vectors != declared_count:
+        raise DataError(
+            f"embedding header {shown} does not match the {vectors} vectors that follow"
+        )
     return EmbeddingTable(vocab, np.vstack(rows))
 
 
@@ -589,31 +595,33 @@ def score_pair(
 
 
 class _IndexedExamples:
-    """A training set as padded index rows and lengths, built once.
+    """A training set as padded index tables, built once.
 
-    Each batch slices the rows it needs, trimmed to its longest sequence,
-    so training never looks a token up again.
+    Each context and each distinct response is looked up and padded once;
+    a batch gathers its examples' rows from the tables, trimmed to its
+    longest sequence, so training never looks a token up again.
     """
 
-    def __init__(self, emb: EmbeddingTable, examples: "Sequence[TrainingExample]"):
-        self.context = self._rows(emb, [truncate_context(ex.context_tokens) for ex in examples])
-        self.response = self._rows(
-            emb, [truncate_response(ex.response_tokens) for ex in examples]
-        )
-        self.labels = np.array([ex.label for ex in examples], dtype=np.float64)
-
-    @staticmethod
-    def _rows(emb, seqs):
-        idx, mask = _pad_batch(emb, seqs)
-        return idx, mask.sum(axis=1)
+    def __init__(self, emb: EmbeddingTable, examples: TrainingSet):
+        self.tables = []
+        for cut, seqs, rows in (
+            (truncate_context, examples.contexts, examples.context_rows),
+            (truncate_response, examples.responses, examples.response_rows),
+        ):
+            idx, mask = _pad_batch(emb, [cut(tokens) for tokens in seqs])
+            self.tables.append((idx, mask.sum(axis=1), rows))
+        _, lengths, rows = self.tables[0]
+        self.context_lengths = lengths[rows]  # per example, for bucketing
+        self.labels = examples.labels.astype(np.float64)
 
     def batch(self, rows: np.ndarray):
         """(context idx, context mask, response idx, response mask, labels)."""
         parts = []
-        for idx, lengths in (self.context, self.response):
-            lengths = lengths[rows]
+        for idx, lengths, example_rows in self.tables:
+            table_rows = example_rows[rows]
+            lengths = lengths[table_rows]
             steps = lengths.max()
-            parts += [idx[rows, :steps], np.arange(steps) < lengths[:, None]]
+            parts += [idx[table_rows, :steps], np.arange(steps) < lengths[:, None]]
         return (*parts, self.labels[rows])
 
 
@@ -655,7 +663,7 @@ def _indexed_loss_and_gradients(model, ctx_idx, ctx_mask, rsp_idx, rsp_mask, lab
 
 
 def loss_and_gradients(
-    model: DualEncoderModel, batch: "Sequence[TrainingExample]"
+    model: DualEncoderModel, batch: Sequence[TrainingExample]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean binary cross-entropy and gradients for every trainable tensor.
 
@@ -665,8 +673,9 @@ def loss_and_gradients(
     """
     if not batch:
         raise DataError("batch must be non-empty")
-    return _indexed_loss_and_gradients(model, *_IndexedExamples(model.embeddings, batch).batch(
-        np.arange(len(batch))
+    examples = TrainingSet.from_examples(batch)
+    return _indexed_loss_and_gradients(model, *_IndexedExamples(model.embeddings, examples).batch(
+        np.arange(len(examples))
     ))
 
 
@@ -722,7 +731,7 @@ def _epoch_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generato
 
 def _train_one(
     model: DualEncoderModel,
-    examples: "Sequence[TrainingExample]",
+    examples: TrainingSet,
     config: TrainConfig,
     resampler=None,
 ) -> TrainResult:
@@ -739,7 +748,7 @@ def _train_one(
             if not examples:
                 raise DataError(f"training set for epoch {epoch} is empty")
             indexed = _IndexedExamples(model.embeddings, examples)
-        for rows in _epoch_batches(indexed.context[1], config.batch_size, rng):
+        for rows in _epoch_batches(indexed.context_lengths, config.batch_size, rng):
             if iteration >= config.max_iterations:
                 break
             iteration += 1
@@ -825,10 +834,11 @@ def train(model, examples, config, resampler=None):
     stable-sorts each chunk of ``BUCKET_BATCHES`` batches by context length,
     cuts the batches (the last one may be short) and shuffles their order,
     so the order depends on the seed and context lengths only. Epoch 0 trains
-    on ``examples``. ``resampler``, if given, is called with the epoch
-    number for epochs 1, 2, ... and must return that epoch's training
-    examples; without it every epoch reuses ``examples``. Each set is
-    turned into token-index rows once, and batches slice those rows.
+    on ``examples``, a :class:`~dialret.sampling.TrainingSet`. ``resampler``,
+    if given, is called with the epoch number for epochs 1, 2, ... and must
+    return that epoch's TrainingSet; without it every epoch reuses
+    ``examples``. Each set's contexts and responses are turned into
+    token-index rows once, and batches gather those rows.
 
     Given one model, trains it in this process and returns its
     TrainResult. Given equal-length lists of models, example sets, configs

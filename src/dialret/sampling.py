@@ -8,6 +8,11 @@ up with ``DataError`` after ``MAX_DRAW_ROUNDS`` rounds rather than loop
 on a distribution whose mass sits on the excluded responses. Draws use a
 Vose alias table, so each draw costs O(1) after O(n) setup.
 
+A :class:`TrainingSet` stores each kept pair's context and each distinct
+response once, and its examples as int arrays of rows into those tables;
+the build makes no per-example object, and training and
+:func:`write_training_set` pad or render each table entry once.
+
 All randomness flows through injected ``numpy.random.Generator`` handles
 (PCG64; see :mod:`dialret.seeding`), making every output reproducible
 from a seed.
@@ -15,10 +20,9 @@ from a seed.
 
 from __future__ import annotations
 
-import gc
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,6 +38,9 @@ if TYPE_CHECKING:
 
 # Rejection rounds after which a draw gives up.
 MAX_DRAW_ROUNDS = 10_000
+
+# Lines per write in write_training_set, which holds one block's text.
+WRITE_BLOCK_LINES = 4096
 
 
 class AliasSampler:
@@ -116,6 +123,63 @@ class TrainingExample:
             raise DataError(f"label must be 0 or 1, got {self.label}")
 
 
+class TrainingSet:
+    """Labeled examples as two token-tuple tables and three per-example arrays.
+
+    ``contexts[k]`` is a context and ``pair_ids[k]`` its pair's id;
+    ``responses`` holds each distinct response once. Example ``i`` pairs
+    context row ``context_rows[i]`` with response row ``response_rows[i]``
+    under ``labels[i]``. ``trainset[i]`` and iteration give
+    :class:`TrainingExample` views; a slice is a TrainingSet over the same
+    tables. Two sets are equal when their views are.
+    """
+
+    def __init__(self, contexts, pair_ids, responses, context_rows, response_rows, labels):
+        self.contexts: list[tuple[str, ...]] = contexts
+        self.pair_ids: list[int] = pair_ids
+        self.responses: list[tuple[str, ...]] = responses
+        self.context_rows = np.asarray(context_rows, dtype=np.intp)
+        self.response_rows = np.asarray(response_rows, dtype=np.intp)
+        self.labels = np.asarray(labels, dtype=np.int8)
+
+    @classmethod
+    def from_examples(cls, examples: Iterable[TrainingExample]) -> "TrainingSet":
+        """The set whose views are ``examples``, in order."""
+        contexts: dict[tuple, int] = {}  # (context, pair id) -> row
+        responses: dict[tuple[str, ...], int] = {}
+        rows = np.array([
+            (contexts.setdefault((ex.context_tokens, ex.source_pair_id), len(contexts)),
+             responses.setdefault(ex.response_tokens, len(responses)), ex.label)
+            for ex in examples
+        ], dtype=np.intp).reshape(-1, 3)
+        return cls([c for c, _ in contexts], [p for _, p in contexts], list(responses), *rows.T)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TrainingSet(self.contexts, self.pair_ids, self.responses,
+                               self.context_rows[i], self.response_rows[i], self.labels[i])
+        c = int(self.context_rows[i])
+        return TrainingExample(self.contexts[c], self.responses[self.response_rows[i]],
+                               int(self.labels[i]), self.pair_ids[c])
+
+    def rows(self):
+        """(context row, response row, label) of each example, as ints."""
+        return zip(self.context_rows.tolist(), self.response_rows.tolist(), self.labels.tolist())
+
+    def __iter__(self):
+        contexts, responses, pair_ids = self.contexts, self.responses, self.pair_ids
+        for c, r, label in self.rows():
+            yield TrainingExample(contexts[c], responses[r], label, pair_ids[c])
+
+    def __eq__(self, other):
+        if not isinstance(other, TrainingSet):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def draw_negatives(
     dist: ResponseDistribution,
     true_response: str,
@@ -172,35 +236,13 @@ def draw_distinct_alternatives(
     raise CandidatePoolError(f"no {m} distinct alternatives in {MAX_DRAW_ROUNDS} draw rounds")
 
 
-@contextmanager
-def _collector_paused():
-    """Pause Python's cyclic garbage collector for the enclosed block.
-
-    A training set is a list of hundreds of thousands of acyclic examples.
-    While it grows, the collector makes full collections that walk every
-    live object and free nothing. How many it makes depends on counters
-    left by earlier work, and each walk is memory-bound, so they made the
-    same build's time swing: two or three of them took 0.4 to 0.75 s of a
-    1.5 to 2.3 s build over 38 678 pairs on a shared 2-CPU VM. Reference
-    counting still frees whatever the block drops. The previous state is
-    restored on exit, so a caller that had the collector off keeps it off.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def build_training_set(
     pairs: Sequence[ContextResponsePair],
     dist: ResponseDistribution,
     strategy: SamplingStrategy,
     rng: np.random.Generator,
     embeddings: "EmbeddingTable | None" = None,
-) -> list[TrainingExample]:
+) -> TrainingSet:
     """Assemble positives and sampled negatives for every pair.
 
     Per pair, in input order: when ``filter_by_inverse_count`` is set the
@@ -210,31 +252,35 @@ def build_training_set(
     The generator is consumed in that fixed order, so output is a pure
     function of (pairs, dist, strategy, seed).
 
-    ``embeddings`` is only required for the kde transform.
+    The response table is the transformed support, in its order, then any
+    positive's response outside it. ``embeddings`` is only required for
+    the kde transform.
     """
-    with _collector_paused():
-        sample_dist = transform(dist, strategy.transform, embeddings)
-        # One token tuple per response, shared by every negative that draws it.
-        response_tokens = {r: tuple(r.split(" ")) for r in sample_dist.responses}
-        examples: list[TrainingExample] = []
-        for pair in pairs:
-            if strategy.filter_by_inverse_count:
-                count = dist.count(pair.response_text)
-                if count < 1:
-                    raise DataError(
-                        f"no occurrence count for response {pair.response_text!r}"
-                    )
-                if rng.random() >= 1.0 / count:
-                    continue
-            context, pair_id = pair.context_tokens, pair.pair_id
-            examples.append(TrainingExample(context, pair.response_tokens, 1, pair_id))
-            negatives = draw_negatives(
-                sample_dist, pair.response_text, strategy.neg_per_pos, rng
-            )
-            examples.extend(
-                TrainingExample(context, response_tokens[neg], 0, pair_id) for neg in negatives
-            )
-    return examples
+    sample_dist = transform(dist, strategy.transform, embeddings)
+    responses = [tuple(r.split(" ")) for r in sample_dist.responses]
+    response_row = {tokens: row for row, tokens in enumerate(responses)}
+    contexts, pair_ids, rows = [], [], []
+    for pair in pairs:
+        if strategy.filter_by_inverse_count:
+            count = dist.count(pair.response_text) if pair.response_text in dist else 0
+            if count < 1:
+                raise DataError(f"no occurrence count for response {pair.response_text!r}")
+            if rng.random() >= 1.0 / count:
+                continue
+        contexts.append(pair.context_tokens)
+        pair_ids.append(pair.pair_id)
+        row = response_row.get(pair.response_tokens)
+        if row is None:
+            row = response_row[pair.response_tokens] = len(responses)
+            responses.append(pair.response_tokens)
+        rows.append(row)
+        negatives = draw_negatives(sample_dist, pair.response_text, strategy.neg_per_pos, rng)
+        rows.extend(map(sample_dist.index_of, negatives))
+    group = 1 + strategy.neg_per_pos
+    return TrainingSet(
+        contexts, pair_ids, responses, np.repeat(np.arange(len(contexts)), group), rows,
+        np.tile(np.arange(group) == 0, len(contexts)),
+    )
 
 
 def make_epoch_resampler(
@@ -243,7 +289,7 @@ def make_epoch_resampler(
     strategy: SamplingStrategy,
     master_seed: int,
     embeddings: "EmbeddingTable | None" = None,
-) -> Callable[[int], list[TrainingExample]]:
+) -> Callable[[int], TrainingSet]:
     """Per-epoch training-set re-sampler for ``dialret.encoder.train``.
 
     ``resample(e)`` equals ``build_training_set(pairs, dist, strategy,
@@ -258,27 +304,30 @@ def make_epoch_resampler(
     sample_dist = transform(dist, strategy.transform, embeddings)
     epoch_strategy = replace(strategy, transform=TransformSpec.identity())
 
-    def resample(epoch: int) -> list[TrainingExample]:
+    def resample(epoch: int) -> TrainingSet:
         rng = derive_rng(master_seed, "resample-epoch", epoch)
         return build_training_set(pairs, sample_dist, epoch_strategy, rng)
 
     return resample
 
 
-def write_training_set(path, examples: Iterable[TrainingExample]) -> None:
-    """Serialize examples as UTF-8 JSON lines (stable key order)."""
+def write_training_set(path, examples: TrainingSet) -> None:
+    """Serialize examples as UTF-8 JSON lines.
+
+    Each line is ``json.dumps`` of the example's dict with sorted keys,
+    compact separators and ``ensure_ascii=False``. Each context's and each
+    response's JSON is rendered once, and the lines are filled from them
+    ``WRITE_BLOCK_LINES`` at a time.
+    """
+    dump = partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
+    heads = ['{"context_tokens":' + dump(c) + ',"label":' for c in examples.contexts]
+    tails = [f',"source_pair_id":{p}}}\n' for p in examples.pair_ids]
+    middles = [',"response_tokens":' + dump(r) for r in examples.responses]
+
     write_artifact(path, (
-        json.dumps(
-            {
-                "context_tokens": list(ex.context_tokens),
-                "response_tokens": list(ex.response_tokens),
-                "label": ex.label,
-                "source_pair_id": ex.source_pair_id,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-            separators=(",", ":"),
+        "".join(
+            heads[c] + "01"[label] + middles[r] + tails[c]
+            for c, r, label in examples[start : start + WRITE_BLOCK_LINES].rows()
         )
-        + "\n"
-        for ex in examples
+        for start in range(0, len(examples), WRITE_BLOCK_LINES)
     ))

@@ -762,6 +762,26 @@ class TestSubcommands:
         assert "UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header, vectors, message", [
+        ("3 10", 1, "does not match the 1 vectors"), ("1 10", 3, "does not match the 3 vectors"),
+        ("9" * 5000 + " 10", 2, "bad embedding header"),
+    ])
+    def test_embedding_count_mismatch_exit_4(
+        self, workspace, tmp_path, capsys, header, vectors, message
+    ):
+        embeddings = tmp_path / "emb.txt"
+        embeddings.write_text(header + "\n" + "".join(
+            f"t{i}" + " 0.5" * 10 + "\n" for i in range(vectors)
+        ), encoding="utf-8")
+        corpus = workspace / "corpus.jsonl"
+        config = write_config(tmp_path / "config.json", corpus, paths={
+            "corpus": str(corpus), "embeddings": str(embeddings), "output_dir": "out",
+        })
+        assert main(["train", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert "Traceback" not in err and len(err) < 200
+
     @pytest.mark.parametrize("defect", [
         "rank-not-integer", "mark-not-integer", "empty-file", "key-line-without-tab",
         "key-line-not-integer", "not-utf8", "missing-rank-2", "duplicated-rank",

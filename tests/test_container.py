@@ -29,7 +29,7 @@ from dialret.encoder import DualEncoderModel, load_checkpoint, random_embeddings
 from dialret.errors import DataError
 from dialret.evaluation import AnnotationRow, write_annotation_file, write_annotation_key
 from dialret.retrieval import HistoryIndex, load_index, save_index
-from dialret.sampling import TrainingExample, write_training_set
+from dialret.sampling import TrainingExample, TrainingSet, write_training_set
 
 
 def container(magic: bytes, header: dict, payload: list[tuple[str, np.ndarray]]) -> bytes:
@@ -123,7 +123,7 @@ WRITERS = {
     "index": lambda path, version: save_index(
         small_index(np.roll(np.eye(3), version, axis=0)), path),
     "trainset": lambda path, version: write_training_set(
-        path, [TrainingExample(("ask",), ("ok",), 1, version)] * 3),
+        path, TrainingSet.from_examples([TrainingExample(("ask",), ("ok",), 1, version)] * 3)),
     "split-ids": _split_ids,
     "annotation-sheet": lambda path, version: write_annotation_file(
         path, _annotation_rows(version)),

@@ -8,9 +8,12 @@ import subprocess
 import sys
 import textwrap
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gradcheck import finite_difference_gradients, max_relative_error
 
 from dialret import encoder as encoder_module
@@ -21,6 +24,7 @@ from dialret.encoder import (
     GruParams,
     TrainConfig,
     _epoch_batches,
+    _IndexedExamples,
     _pad_batch,
     encode,
     encode_batch,
@@ -32,6 +36,8 @@ from dialret.encoder import (
     score_pair,
     sigmoid,
     train,
+    truncate_context,
+    truncate_response,
 )
 from dialret.errors import (
     DataError,
@@ -40,7 +46,7 @@ from dialret.errors import (
     NonFiniteParameterError,
     NumericError,
 )
-from dialret.sampling import TrainingExample
+from dialret.sampling import TrainingExample, TrainingSet
 
 
 def zero_gru(input_dim, hidden):
@@ -112,6 +118,20 @@ class TestLoadEmbeddings:
     def test_expected_dim_rejected(self):
         with pytest.raises(DataError):
             load_embeddings(["1 2\n", "a 1 0\n"], expected_dim=300)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_count_must_match_the_vectors(self, count):
+        # The blank line is not a vector.
+        with pytest.raises(DataError, match=f"'{count} 2' does not match the 2 vectors"):
+            load_embeddings([f"{count} 2\n", "a 1 0\n", "\n", "b 0 1\n"])
+
+    # 400 digits parse as an int; 5000 are past int()'s default digit limit.
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_long_count_is_quoted_short(self, digits):
+        with pytest.raises(DataError) as exc:
+            load_embeddings(["9" * digits + " 2\n", "a 1 0\n"])
+        assert "9" * 40 + "'..." in str(exc.value)
+        assert len(str(exc.value)) < 120
 
     def test_duplicate_token_first_wins(self, caplog):
         with caplog.at_level(logging.WARNING):
@@ -363,7 +383,7 @@ class TestTrain:
         emb = random_embeddings(vocab, 6, 1.0, seed=seed)
         model = DualEncoderModel.create(emb, variant="gru", hidden=6, seed=seed)
         batch = random_batch(vocab, np.random.default_rng(seed + 1), size=24)
-        return model, batch
+        return model, TrainingSet.from_examples(batch)
 
     def test_zero_learning_rate_leaves_parameters(self):
         model, examples = self.make_model_and_data()
@@ -433,8 +453,9 @@ class TestTrain:
             examples.append(TrainingExample((vocab[i],), (vocab[i],), 1, i))
             examples.append(TrainingExample((vocab[i],), (vocab[(i + 3) % 10],), 0, i))
         first = loss_and_gradients(model, examples)[0]
-        train(model, examples, TrainConfig(learning_rate=1.0, batch_size=10,
-                                           max_iterations=300, seed=0, eval_every=100))
+        train(model, TrainingSet.from_examples(examples),
+              TrainConfig(learning_rate=1.0, batch_size=10, max_iterations=300, seed=0,
+                          eval_every=100))
         last = loss_and_gradients(model, examples)[0]
         assert last < first / 2
 
@@ -449,7 +470,8 @@ class TestTrain:
             return DualEncoderModel.create(emb, variant=variant, hidden=6, seed=22,
                                            tied=False, train_embeddings=train_embeddings)
 
-        examples = random_batch(tiny_vocab(20), np.random.default_rng(23), size=30)
+        examples = TrainingSet.from_examples(
+            random_batch(tiny_vocab(20), np.random.default_rng(23), size=30))
         config = TrainConfig(learning_rate=0.8, batch_size=8, max_iterations=1, seed=24,
                              gradient_clip_norm=1e-3, eval_every=1)
         trained = make()
@@ -478,6 +500,33 @@ def mixed_lengths(n, choices=(3, 10, 17), seed=0):
 def max_steps(lengths, batches):
     """GRU steps an epoch runs over ``batches``: each batch's longest context."""
     return sum(int(lengths[rows].max()) for rows in batches)
+
+
+class TestIndexedExamples:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_batch_is_pad_batch_of_its_views(self, data):
+        vocab = tiny_vocab(12)
+        emb = random_embeddings(vocab[:8], 4, 1.0, seed=0)  # t8..t11 are OOV
+        tokens = st.lists(st.sampled_from(vocab), min_size=1, max_size=9).map(tuple)
+        examples = data.draw(st.lists(st.builds(
+            TrainingExample, tokens, tokens, st.integers(0, 1), st.integers(0, 3),
+        ), min_size=1, max_size=20))
+        trainset = TrainingSet.from_examples(examples)
+        rows = np.array(data.draw(st.lists(
+            st.integers(0, len(examples) - 1), min_size=1, max_size=10)))
+        views = [trainset[i] for i in rows]
+        # A short cut, so that both ends of some sequences are dropped.
+        with mock.patch.object(encoder_module, "MAX_SEQUENCE_TOKENS", 5):
+            batch = _IndexedExamples(emb, trainset).batch(rows)
+            expected = (
+                *_pad_batch(emb, [truncate_context(v.context_tokens) for v in views]),
+                *_pad_batch(emb, [truncate_response(v.response_tokens) for v in views]),
+                np.array([v.label for v in views], dtype=np.float64),
+            )
+        assert len(batch) == len(expected)
+        for got, want in zip(batch, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestEpochBatches:
@@ -547,7 +596,8 @@ class TestEpochBatches:
         for _ in range(2):
             emb = random_embeddings(vocab, 6, 1.0, seed=12)
             model = DualEncoderModel.create(emb, variant="gru", hidden=6, seed=13)
-            result = train(model, first, config, resampler=lambda epoch: second)
+            result = train(model, TrainingSet.from_examples(first), config,
+                           resampler=lambda epoch: TrainingSet.from_examples(second))
             runs.append((tensor_bytes(model), result.loss_trace))
         assert runs[0] == runs[1]
         expected = [[len(ex.context_tokens) for ex in examples] for examples in (first, second)]
@@ -563,13 +613,15 @@ def make_job(j):
         emb, variant=("gru", "attention")[j % 2], hidden=6, seed=40 + j,
         tied=j % 3 == 0, train_embeddings=j % 4 < 2,
     )
-    examples = random_batch(vocab, np.random.default_rng(50 + j), size=12 + j)
+    examples = TrainingSet.from_examples(
+        random_batch(vocab, np.random.default_rng(50 + j), size=12 + j))
     config = TrainConfig(learning_rate=0.4, batch_size=8, max_iterations=10 + j,
                          seed=60 + j, eval_every=3)
     resampler = None
     if j % 3 != 1:
         def resampler(epoch):
-            return random_batch(vocab, np.random.default_rng((70 + j, epoch)), size=9 + epoch)
+            return TrainingSet.from_examples(
+                random_batch(vocab, np.random.default_rng((70 + j, epoch)), size=9 + epoch))
     return model, examples, config, resampler
 
 
@@ -831,7 +883,8 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path / "model.ckpt")
         loaded = load_checkpoint(tmp_path / "model.ckpt")
         assert all(t.flags.writeable for t in loaded.all_tensors().values())
-        examples = random_batch(tiny_vocab(20), np.random.default_rng(5), size=24)
+        examples = TrainingSet.from_examples(
+            random_batch(tiny_vocab(20), np.random.default_rng(5), size=24))
         config = TrainConfig(learning_rate=0.3, batch_size=8, max_iterations=30, seed=9,
                              eval_every=10)
         traces = [train(m, examples, config).loss_trace for m in (model, loaded)]
@@ -846,6 +899,6 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        examples = [TrainingExample(("t1",), ("t2",), 1, 0)]
+        examples = TrainingSet.from_examples([TrainingExample(("t1",), ("t2",), 1, 0)])
         train(loaded, examples, TrainConfig(learning_rate=0.1, batch_size=1,
                                             max_iterations=3, seed=0, eval_every=1))

@@ -1,12 +1,14 @@
-import gc
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dialret import distribution
-from dialret.corpus import extract_all_pairs
+from dialret.corpus import ContextResponsePair, extract_all_pairs
 from dialret.distribution import (
     ResponseDistribution,
     TransformSpec,
@@ -19,6 +21,7 @@ from dialret.sampling import (
     AliasSampler,
     SamplingStrategy,
     TrainingExample,
+    TrainingSet,
     build_training_set,
     draw_distinct_alternatives,
     draw_negatives,
@@ -260,25 +263,12 @@ class TestBuildTrainingSet:
                 derive_rng(0),
             )
 
-    def test_collector_state_is_restored(self):
-        pairs = make_pairs([f"resp {i % 10}" for i in range(40)])
-        dist = count_responses(pairs)
-        strategy = SamplingStrategy(neg_per_pos=2)
-        was_enabled = gc.isenabled()
-        try:
-            gc.enable()
-            build_training_set(pairs, dist, strategy, derive_rng(0))
-            assert gc.isenabled()
-            bad = dist_from([0.5, 0.5], responses=["resp 0", "resp 1"], counts=[0, 0])
-            filtered = SamplingStrategy(neg_per_pos=1, filter_by_inverse_count=True)
-            with pytest.raises(DataError):
-                build_training_set(pairs, bad, filtered, derive_rng(0))
-            assert gc.isenabled()
-            gc.disable()
-            build_training_set(pairs, dist, strategy, derive_rng(0))
-            assert not gc.isenabled()
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
+    def test_filtering_a_response_outside_the_distribution_is_a_data_error(self):
+        pairs = make_pairs(["a", "c"])
+        dist = dist_from([0.5, 0.5], responses=["a", "b"], counts=[1, 1])
+        filtered = SamplingStrategy(neg_per_pos=1, filter_by_inverse_count=True)
+        with pytest.raises(DataError, match="no occurrence count for response 'c'"):
+            build_training_set(pairs, dist, filtered, derive_rng(0))
 
     def test_epoch_resampler_deterministic(self):
         pairs = make_pairs([f"resp {i % 5}" for i in range(20)])
@@ -367,12 +357,130 @@ def test_golden_trainset(golden_corpus, tmp_path, label, filtered):
     assert digest == GOLDEN_TRAINSETS[label, filtered]
 
 
+def reference_training_set(pairs, dist, strategy, rng, embeddings=None):
+    """The build as one TrainingExample object per example, kept as the reference."""
+    sample_dist = transform(dist, strategy.transform, embeddings)
+    examples = []
+    for pair in pairs:
+        if strategy.filter_by_inverse_count:
+            count = dist.count(pair.response_text) if pair.response_text in dist else 0
+            if count < 1:
+                raise DataError(f"no occurrence count for response {pair.response_text!r}")
+            if rng.random() >= 1.0 / count:
+                continue
+        context, pair_id = pair.context_tokens, pair.pair_id
+        examples.append(TrainingExample(context, pair.response_tokens, 1, pair_id))
+        for negative in draw_negatives(sample_dist, pair.response_text, strategy.neg_per_pos, rng):
+            examples.append(TrainingExample(context, tuple(negative.split(" ")), 0, pair_id))
+    return examples
+
+
+# Tokens with non-ASCII, a quote and a backslash; none holds a space, as
+# no tokenized text does.
+TOKENS = ["a", "b", "c", "ок", "⟨eou⟩", 'say"hi"', "back\\slash"]
+token_tuples = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4).map(tuple)
+STRATEGY_KINDS = {
+    "identity": lambda k: SamplingStrategy(neg_per_pos=k),
+    "uniform": lambda k: SamplingStrategy(TransformSpec.uniform(), k),
+    "power": lambda k: SamplingStrategy(TransformSpec.power(-0.5), k),
+    "kde": lambda k: SamplingStrategy(TransformSpec.kde_smoothed(0.4), k),
+    "filtered": lambda k: SamplingStrategy(neg_per_pos=k, filter_by_inverse_count=True),
+}
+KDE_EMBEDDINGS = random_embeddings(TOKENS, 4, 1.0, seed=0)
+
+
+@st.composite
+def sampling_problems(draw):
+    """Pairs, a distribution that may lack some of their responses, a strategy."""
+    responses = draw(st.lists(token_tuples, min_size=1, max_size=6, unique=True))
+    pairs = [
+        ContextResponsePair(
+            pair_id=draw(st.integers(0, 50)), context_tokens=draw(token_tuples),
+            response_text=" ".join(response), response_tokens=response,
+            dialogue_id=f"d{i}", turn_index=1,
+        )
+        for i, response in enumerate(draw(st.lists(st.sampled_from(responses), max_size=12)))
+    ]
+    kept = draw(st.lists(st.sampled_from(responses), min_size=1, unique=True))
+    extra = draw(st.lists(token_tuples, max_size=3))
+    counts = {" ".join(r): draw(st.integers(1, 4)) for r in kept + extra}
+    kind = draw(st.sampled_from(sorted(STRATEGY_KINDS)))
+    strategy = STRATEGY_KINDS[kind](draw(st.integers(1, 4)))
+    return pairs, ResponseDistribution.from_counts(counts), strategy, draw(st.integers(0, 9))
+
+
+def outcome(build, *args):
+    """What ``build`` returns, as a list, or the type and text of what it raised."""
+    try:
+        return list(build(*args))
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestTrainingSet:
+    @settings(max_examples=150, deadline=None)
+    @given(sampling_problems(), st.data())
+    def test_views_equal_the_reference_build(self, problem, data):
+        pairs, dist, strategy, seed = problem
+        args = (pairs, dist, strategy)
+        expected = outcome(reference_training_set, *args, derive_rng(seed), KDE_EMBEDDINGS)
+        assert outcome(build_training_set, *args, derive_rng(seed), KDE_EMBEDDINGS) == expected
+        if not isinstance(expected, list):
+            return
+        trainset = build_training_set(*args, derive_rng(seed), KDE_EMBEDDINGS)
+        assert len(trainset) == len(expected)
+        assert len(trainset.contexts) == len(trainset.pair_ids) == sum(e.label for e in expected)
+        assert len(set(trainset.responses)) == len(trainset.responses)
+        assert [trainset[i] for i in range(-len(expected), len(expected))] == expected * 2
+        start, stop = sorted(data.draw(st.lists(st.integers(0, len(expected)),
+                                                min_size=2, max_size=2)))
+        assert list(trainset[start:stop]) == expected[start:stop]
+        assert trainset == TrainingSet.from_examples(expected)
+        assert list(TrainingSet.from_examples(expected)) == expected
+
+    def test_sets_with_different_views_differ(self):
+        examples = [TrainingExample(("a",), ("b",), 1, 0), TrainingExample(("a",), ("c",), 0, 0)]
+        trainset = TrainingSet.from_examples(examples)
+        assert trainset != TrainingSet.from_examples(examples[::-1])
+        assert trainset != TrainingSet.from_examples(examples[:1])
+        assert trainset[1:] == TrainingSet.from_examples(examples[1:])
+        with pytest.raises(IndexError):
+            trainset[2]
+
+
+@pytest.fixture(scope="module")
+def trainset_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("trainset") / "trainset.jsonl"
+
+
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
 class TestTrainingExampleIO:
+    @settings(max_examples=100, deadline=None)
+    @given(examples=st.lists(st.builds(
+        TrainingExample,
+        st.lists(st.sampled_from(['"', "\\", "ок", "⟨eou⟩"]) | texts, max_size=4).map(tuple),
+        st.lists(st.sampled_from(['"', "\\", "ок"]) | texts, max_size=4).map(tuple),
+        st.integers(0, 1), st.integers(0, 2**62),
+    ), max_size=12))
+    def test_bytes_are_json_dumps_per_example(self, trainset_path, examples):
+        write_training_set(trainset_path, TrainingSet.from_examples(examples))
+        assert trainset_path.read_bytes() == "".join(
+            json.dumps(
+                {"context_tokens": list(ex.context_tokens),
+                 "response_tokens": list(ex.response_tokens),
+                 "label": ex.label, "source_pair_id": ex.source_pair_id},
+                ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+            ) + "\n"
+            for ex in examples
+        ).encode("utf-8")
+
     def test_roundtrip(self, tmp_path):
-        examples = [
+        examples = TrainingSet.from_examples([
             TrainingExample(("hello", "!"), ("fine", "."), 1, 0),
             TrainingExample(("привет", "⟨eou⟩"), ("ок",), 0, 1),
-        ]
+        ])
         path = tmp_path / "train.jsonl"
         write_training_set(path, examples)
         assert path.read_bytes() == (
@@ -387,7 +495,7 @@ class TestTrainingExampleIO:
             TrainingExample(("a",), ("b",), 2, 0)
 
     def test_byte_identical_serialization(self, tmp_path):
-        examples = [TrainingExample(("a",), ("b",), 1, 0)]
+        examples = TrainingSet.from_examples([TrainingExample(("a",), ("b",), 1, 0)])
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_training_set(p1, examples)
         write_training_set(p2, examples)
