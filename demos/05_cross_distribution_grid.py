@@ -64,18 +64,17 @@ for label in ("identity", "uniform"):
     print(f"trained '{label}' negatives variant, "
           f"final loss {result.loss_trace[-1][1]:.3f}")
 
-grid = cross_distribution_grid(
-    models,
-    {"identity": TransformSpec.identity(), "uniform": TransformSpec.uniform()},
-    test_pairs, dist,
-    EvalConfig(ks=(1, 3), seed=derive_seed(MASTER, "eval")),
-)
+# One evaluation config per column of alternatives, all with one seed.
+columns = {
+    label: EvalConfig(ks=(1, 3), alternative_transform=TransformSpec.parse(label),
+                      seed=derive_seed(MASTER, "eval"))
+    for label in ("identity", "uniform")
+}
+grid = cross_distribution_grid(models, columns, test_pairs, dist)
 print("\n" + format_grid_table(grid, (1, 3)))
 
-id_margin = (grid.report("identity", "identity").recalls[1]
-             - grid.report("identity", "uniform").recalls[1])
-un_margin = (grid.report("uniform", "uniform").recalls[1]
-             - grid.report("uniform", "identity").recalls[1])
+id_margin = grid["identity", "identity"].recalls[1] - grid["identity", "uniform"].recalls[1]
+un_margin = grid["uniform", "uniform"].recalls[1] - grid["uniform", "identity"].recalls[1]
 print(f"matched-distribution advantage at recall@1: "
       f"{id_margin:+.3f} on empirical alternatives, "
       f"{un_margin:+.3f} on uniform alternatives")

@@ -13,8 +13,9 @@ The other three take their inputs from flags alone and write no manifest.
 ``train`` and ``grid`` share one training path, ``train`` being the
 one-variant case: every variant's trainset is written, each variant then
 trains in its own forked child, and then its other artifacts are written.
-``eval`` and ``grid`` share one evaluation set-up: the eval seed, each
-alternative's transform spec and, for kde, the embeddings.
+``eval`` and ``grid`` share one evaluation set-up: one seeded EvalConfig
+per alternative column and, for kde, the embeddings. Transforms arrive
+parsed, and a grid is a dict of EvalReports by (column, trained variant).
 
 Exit codes: 0 success, 2 bad usage or config, 3 missing input file (or a
 directory in its place, or a file in place of a directory), 4 malformed
@@ -183,7 +184,7 @@ def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Pa
     sampling = cfg.sampling
     strategy = replace(
         sampling,
-        transform=dist_mod.TransformSpec.parse(args.transform or sampling.transform.label()),
+        transform=args.transform or sampling.transform,
         neg_per_pos=args.neg_ratio or sampling.neg_per_pos,
         filter_by_inverse_count=sampling.filter_by_inverse_count or args.filter_inverse_count,
     )
@@ -198,19 +199,20 @@ def cmd_build_trainset(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Pa
 
 
 def _train_variants(
-    cfg: ExperimentConfig, data: _Corpus, labels
+    cfg: ExperimentConfig, data: _Corpus, specs
 ) -> tuple[dict[str, enc_mod.DualEncoderModel], list[Path]]:
-    """Train one model per negative-sampling transform label, in parallel
+    """Train one model per negative-sampling transform spec, in parallel
     where there are CPUs for it, once every trainset is written; then write
     each one's checkpoint, loss trace and index. Returns the models by label
     and every artifact path, per variant and trainset first.
     """
     models, trainsets, jobs = {}, [], []
-    for label in labels:
+    for spec in specs:
+        label = spec.label()
         # A fresh table per variant: training with train_embeddings updates
         # its matrix in place.
         embeddings = _embeddings_for(cfg, data.dialogues("train"))
-        strategy = replace(cfg.sampling, transform=dist_mod.TransformSpec.parse(label))
+        strategy = replace(cfg.sampling, transform=spec)
         examples, resampler, path = _training_set(cfg, data, strategy, embeddings, cfg.master_seed)
         model = models[label] = enc_mod.DualEncoderModel.create(
             embeddings, variant=cfg.encoder_variant, hidden=cfg.encoder_hidden,
@@ -220,7 +222,7 @@ def _train_variants(
         train_cfg = replace(cfg.train, seed=derive_seed(cfg.master_seed, "train", label))
         jobs.append((model, examples, train_cfg, resampler))
         trainsets.append(path)
-    logger.info("training variants %s", ", ".join(map(repr, labels)))
+    logger.info("training variants %s", ", ".join(map(repr, models)))
     # One list per argument: models, example sets, configs, resamplers.
     results = enc_mod.train(*map(list, zip(*jobs)))
     artifacts: list[Path] = []
@@ -243,9 +245,9 @@ def _train_variants(
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
-    label = args.transform or cfg.sampling.transform.label()
-    _, artifacts = _train_variants(cfg, _Corpus(cfg), [label])
-    print(f"trained '{label}' variant -> {', '.join(str(p) for p in artifacts[1:])}")
+    spec = args.transform or cfg.sampling.transform
+    _, artifacts = _train_variants(cfg, _Corpus(cfg), [spec])
+    print(f"trained '{spec.label()}' variant -> {', '.join(str(p) for p in artifacts[1:])}")
     return [], artifacts
 
 
@@ -281,13 +283,14 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _alternatives(cfg: ExperimentConfig, data: _Corpus, labels):
-    """Seeded eval config, {label: TransformSpec}, kde embeddings or None."""
-    specs = {label: dist_mod.TransformSpec.parse(label) for label in labels}
-    embeddings = None
-    if any(spec.kind == "kde" for spec in specs.values()):
-        embeddings = _embeddings_for(cfg, data.dialogues("train"))
-    return replace(cfg.eval, seed=derive_seed(cfg.master_seed, "eval")), specs, embeddings
+def _alternatives(cfg: ExperimentConfig, data: _Corpus, specs):
+    """{label: the seeded EvalConfig of its column}, kde embeddings or None."""
+    seed = derive_seed(cfg.master_seed, "eval")
+    columns = {
+        spec.label(): replace(cfg.eval, seed=seed, alternative_transform=spec) for spec in specs
+    }
+    kde = any(spec.kind == "kde" for spec in specs)
+    return columns, _embeddings_for(cfg, data.dialogues("train")) if kde else None
 
 
 def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
@@ -304,10 +307,10 @@ def cmd_eval(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     else:
         raise ConfigError("eval needs --checkpoint or --index")
 
-    alt_label = args.alternative_transform or cfg.eval.alternative_transform.label()
-    eval_cfg, specs, embeddings = _alternatives(cfg, data, [alt_label])
-    eval_cfg = replace(eval_cfg, alternative_transform=specs[alt_label])
-    report = eval_mod.evaluate(scorer, test_pairs, train_dist, eval_cfg, embeddings)
+    spec = args.alternative_transform or cfg.eval.alternative_transform
+    columns, embeddings = _alternatives(cfg, data, [spec])
+    [(alt_label, column)] = columns.items()
+    report = eval_mod.evaluate(scorer, test_pairs, train_dist, column, embeddings)
     text = eval_mod.format_eval_report(report)
     path = cfg.output_dir / f"eval_{scorer_name}_{_safe_label(alt_label)}.txt"
     write_artifact(path, [text])
@@ -320,25 +323,19 @@ def cmd_grid(args, cfg: ExperimentConfig) -> tuple[list[Path], list[Path]]:
     out = cfg.output_dir
     data = _Corpus(cfg)
     test_pairs, train_dist = data.pairs(cfg.eval_split), data.train_dist
-    eval_cfg, alt_transforms, embeddings = _alternatives(cfg, data, cfg.grid_alt_transforms)
+    columns, embeddings = _alternatives(cfg, data, cfg.grid_alt_transforms)
     # A column whose candidates cannot be drawn fails before any training;
     # the draws use per-pair streams, so the evaluation below is unchanged.
-    for spec in alt_transforms.values():
-        eval_mod.draw_candidates(
-            test_pairs, train_dist, replace(eval_cfg, alternative_transform=spec), embeddings
-        )
+    for column in columns.values():
+        eval_mod.draw_candidates(test_pairs, train_dist, column, embeddings)
 
     scorers, artifacts = _train_variants(cfg, data, cfg.grid_train_transforms)
-    grid = eval_mod.cross_distribution_grid(
-        scorers, alt_transforms, test_pairs, train_dist, eval_cfg, embeddings
-    )
-    for (alt_name, scorer_name), report in grid.cells.items():
-        path = out / (
-            f"grid_{_safe_label(scorer_name)}__alt_{_safe_label(alt_name)}.txt"
-        )
+    cells = eval_mod.cross_distribution_grid(scorers, columns, test_pairs, train_dist, embeddings)
+    for (alt_name, scorer_name), report in cells.items():
+        path = out / f"grid_{_safe_label(scorer_name)}__alt_{_safe_label(alt_name)}.txt"
         write_artifact(path, [eval_mod.format_eval_report(report)])
         artifacts.append(path)
-    table = eval_mod.format_grid_table(grid, cfg.eval.ks)
+    table = eval_mod.format_grid_table(cells, cfg.eval.ks)
     table_path = out / "grid_table.txt"
     write_artifact(table_path, [table])
     artifacts.append(table_path)
@@ -436,9 +433,9 @@ def _number(kind: type, minimum: int | None = None):
     return parse
 
 
-def _transform_label(text: str) -> str:
+def _transform(text: str) -> dist_mod.TransformSpec:
     try:
-        return dist_mod.TransformSpec.parse(text).label()
+        return dist_mod.TransformSpec.parse(text)
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="all", choices=("all", "train", "dev", "test"))
 
     p = with_config(sub.add_parser("build-trainset", help="sample a training set"))
-    p.add_argument("--transform", type=_transform_label,
+    p.add_argument("--transform", type=_transform,
                    help="identity | uniform | power:D | kde:H")
     p.add_argument("--neg-ratio", type=_number(int, 1), help="negatives per positive")
     p.add_argument("--filter-inverse-count", action="store_true",
@@ -471,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override master seed for sampling")
 
     p = with_config(sub.add_parser("train", help="train a dual encoder"))
-    p.add_argument("--transform", type=_transform_label,
+    p.add_argument("--transform", type=_transform,
                    help="negative-sampling transform override")
 
     p = sub.add_parser("retrieve", help="query a history index")
@@ -483,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_config(sub.add_parser("eval", help="recall@k on a split"))
     p.add_argument("--checkpoint", help="score with a dual-encoder checkpoint")
     p.add_argument("--index", help="score with a history index")
-    p.add_argument("--alternative-transform", type=_transform_label,
+    p.add_argument("--alternative-transform", type=_transform,
                    help="override eval alternatives")
 
     with_config(sub.add_parser(

@@ -10,14 +10,15 @@ library's own SamplingStrategy, TrainConfig and EvalConfig. Each default
 lives once: on the dataclass that holds its field, or in the library
 constant the field's default names (``MAX_CONTEXT_TURNS``,
 ``DEFAULT_RESPONSE_WEIGHT``, ``RESPONSES_PER_QUESTION``). Transform labels are
-``identity``, ``uniform``, ``power:D`` or ``kde:H``; grid lists store
-them as the canonical ``TransformSpec.label``. The fields checked by hand:
+``identity``, ``uniform``, ``power:D`` or ``kde:H``, each parsed here once:
+a transform field holds a TransformSpec, a grid list a tuple of them. The
+fields checked by hand:
 
     paths.corpus        corpus file; required by corpus-reading commands
     paths.embeddings    word-vector file; null = random embeddings
     split.*             integer train:dev:test ratio
     eval.ks             non-empty list of k in 1..num_alternatives+1
-    grid.*              non-empty lists of distinct transform labels
+    grid.*              non-empty lists of labels of distinct transforms
     annotation.models   {name: {"kind": "checkpoint" | "index", "path": ...}}
 
 Relative paths, ``annotation.models`` paths too, are resolved here
@@ -68,8 +69,9 @@ class ExperimentConfig:
     eval_split: str = "test"
     response_weight: float = DEFAULT_RESPONSE_WEIGHT
     build_index: bool = True
-    grid_train_transforms: tuple[str, ...] = ("identity", "uniform")
-    grid_alt_transforms: tuple[str, ...] = ("identity", "uniform")
+    grid_train_transforms: tuple[TransformSpec, ...] = (
+        TransformSpec.identity(), TransformSpec.uniform())
+    grid_alt_transforms: tuple[TransformSpec, ...] = grid_train_transforms
     annotation_num_questions: int = 20
     annotation_n_responses: int = RESPONSES_PER_QUESTION
     annotation_models: dict[str, dict] = field(default_factory=dict)
@@ -253,21 +255,21 @@ def parse_config(
         parts["eval"]["ks"] = tuple(ks)
 
     for key in _KNOWN["grid"]:
-        attr = _FIELDS["grid", key][0]
-        labels = sections["grid"].get(key, list(getattr(cfg, attr)))
+        if key not in sections["grid"]:
+            continue
+        labels = sections["grid"][key]
         if not isinstance(labels, list) or not labels or not all(
             isinstance(x, str) for x in labels
         ):
             v.fail(f"grid.{key}", "must be a non-empty list of transform labels")
             continue
-        specs = [v.transform(label, f"grid.{key}", None) for label in labels]
+        specs = tuple(v.transform(label, f"grid.{key}", None) for label in labels)
         if None in specs:
             continue
-        labels = [spec.label() for spec in specs]
-        if len(set(labels)) != len(labels):
+        if len(set(specs)) != len(specs):
             v.fail(f"grid.{key}", "labels must be unique")
         else:
-            setattr(cfg, attr, tuple(labels))
+            setattr(cfg, _FIELDS["grid", key][0], specs)
 
     models = sections["annotation"].get("models", cfg.annotation_models)
     if not isinstance(models, dict):

@@ -6,9 +6,10 @@ A corpus file is UTF-8 text with one JSON record per line:
                            {"speaker": "operator", "text": "hello!"}]}
 
 Dialogues must have at least two turns, alternate speakers, and start
-with the user. Violations are reported and the dialogue is skipped, never
-silently dropped. All types here are immutable after construction and
-safe to share across threads.
+with the user; an id is one non-empty line, unique in its file, so a
+split manifest holds one id per line. Violations are reported and the
+dialogue is skipped, never silently dropped. All types here are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class Dialogue:
 
     def __post_init__(self):
         object.__setattr__(self, "turns", tuple(self.turns))
+        if self.id.splitlines() != [self.id]:
+            raise DataError(f"dialogue id {self.id!r} is not one non-empty line")
         if len(self.turns) < 2:
             raise DataError(f"dialogue {self.id!r}: fewer than 2 turns")
         if self.turns[0].speaker is not Speaker.USER:
@@ -104,7 +107,9 @@ class RecordError:
     message: str
 
     def __str__(self) -> str:
-        who = self.dialogue_id if self.dialogue_id is not None else "<no id>"
+        who = "<no id>" if self.dialogue_id is None else str(self.dialogue_id)
+        if who.splitlines() != [who]:  # one error per line of an errors file
+            who = repr(who)
         return f"line {self.line_no} ({who}): {self.message}"
 
 
@@ -127,10 +132,11 @@ def parse_dialogues(lines: Iterable[str]) -> ParseResult:
     """Parse a line-delimited record stream into validated dialogues.
 
     Returns all dialogues in file order plus a report of every rejected
-    line. Blank lines are ignored.
+    line, one reusing an accepted dialogue's id too. Blank lines are ignored.
     """
     dialogues: list[Dialogue] = []
     errors: list[RecordError] = []
+    first_lines: dict[str, int] = {}  # accepted dialogue id -> its line
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -141,7 +147,11 @@ def parse_dialogues(lines: Iterable[str]) -> ParseResult:
             continue
         dialogue_id = record.get("id") if isinstance(record, dict) else None
         try:
-            dialogues.append(_dialogue_from_record(record))
+            dialogue = _dialogue_from_record(record)
+            first = first_lines.setdefault(dialogue.id, line_no)
+            if first != line_no:
+                raise DataError(f"dialogue id {dialogue.id!r} already used on line {first}")
+            dialogues.append(dialogue)
         except DataError as exc:
             errors.append(RecordError(line_no, dialogue_id, str(exc)))
     return ParseResult(tuple(dialogues), tuple(errors))

@@ -399,7 +399,8 @@ class AttentionParams:
         return {"proj": self.proj, "score": self.score}
 
     @classmethod
-    def create(cls, input_dim: int, rng: np.random.Generator):
+    def create(cls, input_dim: int, hidden: int, rng: np.random.Generator):
+        """``hidden`` is ignored: attention's output has the input's width."""
         k = 1.0 / np.sqrt(input_dim)
         return cls(
             proj=rng.uniform(-k, k, size=(input_dim, input_dim)),
@@ -432,6 +433,14 @@ class AttentionParams:
 
 EncoderParams = GruParams | AttentionParams
 ENCODERS = {params.variant: params for params in (GruParams, AttentionParams)}
+
+
+def _encoder_class(variant, what: str) -> type[EncoderParams]:
+    """The params class ``ENCODERS`` names ``variant``; DataError for any other."""
+    params = ENCODERS.get(variant)
+    if params is None:
+        raise DataError(f"{what} {variant!r} is not one of {sorted(ENCODERS)}")
+    return params
 
 
 def _encoder_prefixes(tied: bool) -> tuple[str, ...]:
@@ -479,16 +488,10 @@ class DualEncoderModel:
         tied: bool = True,
         train_embeddings: bool = False,
     ) -> "DualEncoderModel":
+        params = _encoder_class(variant, "encoder variant")
         rng = np.random.default_rng(seed)
-        dim = embeddings.dim
-        if variant == "gru":
-            context = GruParams.create(dim, hidden, rng)
-            response = context if tied else GruParams.create(dim, hidden, rng)
-        elif variant == "attention":
-            context = AttentionParams.create(dim, rng)
-            response = context if tied else AttentionParams.create(dim, rng)
-        else:
-            raise DataError(f"unknown encoder variant {variant!r}")
+        context = params.create(embeddings.dim, hidden, rng)
+        response = context if tied else params.create(embeddings.dim, hidden, rng)
         enc_dim = context.output_dim
         k = 1.0 / np.sqrt(enc_dim)
         bilinear = rng.uniform(-k, k, size=(enc_dim, enc_dim))
@@ -918,11 +921,7 @@ def save_checkpoint(model: DualEncoderModel, path) -> str:
 def _encoder_from_checkpoint(
     header: dict, prefix: str, tensors: dict[str, np.ndarray]
 ) -> EncoderParams:
-    params = ENCODERS.get(header["variant"])
-    if params is None:
-        raise DataError(
-            f"checkpoint variant {header['variant']!r} is not one of {sorted(ENCODERS)}"
-        )
+    params = _encoder_class(header["variant"], "checkpoint variant")
     sub = {
         name[len(prefix) :]: tensor
         for name, tensor in tensors.items()

@@ -11,6 +11,8 @@ constant scorer gets recall 0 rather than a freebie.
 
 Alternative draws depend only on (seed, pair_id, transform), so two
 models evaluated under the same config see identical candidate lists.
+A grid column is one such EvalConfig; :func:`cross_distribution_grid`
+returns a plain dict of EvalReports by (column, scorer), column by column.
 
 Scoring is separate from drawing: :func:`evaluate` draws every pair's
 list first, then scores the lists in blocks of about
@@ -30,7 +32,7 @@ in pair order. Each block's scores are checked for shape and finiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -308,56 +310,37 @@ def parse_eval_report(text: str) -> dict[str, float]:
     return values
 
 
-@dataclass(frozen=True)
-class GridResult:
-    """EvalReports for every (alternative distribution, scorer) cell."""
-
-    alt_names: tuple[str, ...]
-    scorer_names: tuple[str, ...]
-    cells: dict[tuple[str, str], EvalReport]
-
-    def report(self, alt_name: str, scorer_name: str) -> EvalReport:
-        return self.cells[(alt_name, scorer_name)]
-
-
 def cross_distribution_grid(
     scorers: Mapping[str, object],
-    alt_transforms: Mapping[str, TransformSpec],
+    columns: Mapping[str, EvalConfig],
     test_pairs: Sequence[ContextResponsePair],
     train_dist: ResponseDistribution,
-    cfg: EvalConfig,
     embeddings=None,
-) -> GridResult:
-    """Evaluate every scorer against every alternative distribution.
+) -> dict[tuple[str, str], EvalReport]:
+    """{(column name, scorer name): EvalReport}, column by column.
 
     Scorers are keyed by the negative-sampling variant they were trained
-    with; the same eval seed is used for each cell, so cells in one
+    with, columns by their alternatives. Every cell of a column is
+    evaluated under that column's one EvalConfig, so the cells in a
     column share their candidate lists exactly.
     """
-    if not scorers or not alt_transforms:
+    if not scorers or not columns:
         raise DataError("grid needs at least one scorer and one alternative")
     resolved = {name: resolve_scorer(s) for name, s in scorers.items()}
-    cells: dict[tuple[str, str], EvalReport] = {}
-    for alt_name, alt_spec in alt_transforms.items():
-        cell_cfg = replace(cfg, alternative_transform=alt_spec)
-        for scorer_name, scorer in resolved.items():
-            cells[(alt_name, scorer_name)] = evaluate(
-                scorer, test_pairs, train_dist, cell_cfg, embeddings
-            )
-    return GridResult(tuple(alt_transforms), tuple(scorers), cells)
+    return {
+        (alt_name, scorer_name): evaluate(scorer, test_pairs, train_dist, column, embeddings)
+        for alt_name, column in columns.items()
+        for scorer_name, scorer in resolved.items()
+    }
 
 
-def format_grid_table(grid: GridResult, ks: Sequence[int]) -> str:
-    """Aligned text table: one row per (alternatives, trained-with) cell."""
+def format_grid_table(cells: Mapping[tuple[str, str], EvalReport], ks: Sequence[int]) -> str:
+    """Aligned text table: one row per (alternatives, trained-with) cell, in order."""
     header = ["test_alternatives", "train_negatives"] + [f"recall@{k}" for k in ks]
-    rows = [header]
-    for alt_name in grid.alt_names:
-        for scorer_name in grid.scorer_names:
-            report = grid.cells[(alt_name, scorer_name)]
-            rows.append(
-                [alt_name, scorer_name]
-                + [f"{report.recalls[k]:.4f}" for k in ks]
-            )
+    rows = [header] + [
+        [alt_name, scorer_name] + [f"{report.recalls[k]:.4f}" for k in ks]
+        for (alt_name, scorer_name), report in cells.items()
+    ]
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
@@ -488,20 +471,27 @@ def read_marked_annotation(
     """Parse a marked annotation file back into per-model records.
 
     Without a key file all rows are attributed to one model named
-    ``model``. The ranks of each question must be exactly 1..n, with the
-    same n for every question of a model, so a dropped or duplicated row
-    is caught. Any malformed line, and a file without its header, raises
-    DataError.
+    ``model``; with one, each data line must have exactly one key entry
+    and each key entry must name a data line. The ranks of each question
+    must be exactly 1..n, with the same n for every question of a model,
+    so a dropped or duplicated row is caught. Any malformed line, a file
+    without its header and a sheet without data rows raise DataError.
     """
-    models: dict[int, str] = {}
+    models: dict[int, tuple[str, int]] = {}  # sheet line -> (model, key line)
     if key_path is not None:
         for line_no, (row, model) in _tsv_rows(key_path, "annotation key", 2):
-            models[_int_field(row, "annotation key", line_no, "line")] = model
+            row_no = _int_field(row, "annotation key", line_no, "line")
+            first = models.setdefault(row_no, (model, line_no))[1]
+            if first != line_no:
+                where = f"annotation key line {line_no}: line {row_no}"
+                raise DataError(f"{where} is already keyed on line {first}")
     grouped: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
     for line_no, (question_id, rank, response, mark) in _tsv_rows(path, "annotation", 4):
         if not mark.strip():
             raise DataError(f"annotation line {line_no}: missing mark")
-        model = models.get(line_no, "model")
+        if key_path is not None and line_no not in models:
+            raise DataError(f"annotation line {line_no}: not in the annotation key")
+        model = models.pop(line_no)[0] if key_path is not None else "model"
         grouped.setdefault((model, question_id), []).append((
             _int_field(rank, "annotation", line_no, "rank"),
             response,
@@ -510,20 +500,18 @@ def read_marked_annotation(
     records: dict[str, list[AnnotationRecord]] = {}
     sizes: dict[str, int] = {}
     for (model, question_id), entries in grouped.items():
-        entries.sort()
+        ranks, responses, marks = zip(*sorted(entries))
         where = f"annotation question {question_id!r} of model {model!r}"
-        ranks = [e[0] for e in entries]
-        if ranks != list(range(1, len(entries) + 1)):
-            raise DataError(f"{where}: ranks {ranks}, expected 1..{len(entries)}")
+        if ranks != tuple(range(1, len(entries) + 1)):
+            raise DataError(f"{where}: ranks {list(ranks)}, expected 1..{len(entries)}")
         if sizes.setdefault(model, len(entries)) != len(entries):
             raise DataError(
                 f"{where}: {len(entries)} responses, earlier questions have {sizes[model]}"
             )
-        records.setdefault(model, []).append(
-            AnnotationRecord(
-                question_id=question_id,
-                responses=tuple(e[1] for e in entries),
-                marks=tuple(e[2] for e in entries),
-            )
-        )
+        records.setdefault(model, []).append(AnnotationRecord(question_id, responses, marks))
+    if not records:
+        raise DataError(f"annotation {path} has no data rows")
+    if models:
+        row_no, (_, line_no) = next(iter(models.items()))
+        raise DataError(f"annotation key line {line_no}: line {row_no} is not a data line")
     return records

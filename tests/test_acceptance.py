@@ -283,7 +283,7 @@ def test_criterion_07_retrieval_oracle_equivalence():
 
     vocab = [f"t{i}" for i in range(700)]
     emb = random_embeddings(vocab, 16, 1.0, seed=707)
-    params = AttentionParams.create(16, np.random.default_rng(708))
+    params = AttentionParams.create(16, 16, np.random.default_rng(708))
     model = DualEncoderModel(emb, params, params, np.eye(16))
     rng = np.random.default_rng(709)
     pairs = [

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -21,6 +23,7 @@ from dialret.errors import ConfigError, DataError, DivergenceError
 from dialret.evaluation import EvalConfig
 from dialret.sampling import SamplingStrategy, make_epoch_resampler, write_training_set
 from dialret.seeding import derive_seed
+from dialret.synthetic import corpus_vocabulary
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_dialogues.jsonl"
 
@@ -249,8 +252,8 @@ class TestConfigValidation:
             ),
             "eval_split": "dev",
             "response_weight": 0.3, "build_index": False,
-            "grid_train_transforms": ("kde:0.4",),
-            "grid_alt_transforms": ("power:1", "uniform"),
+            "grid_train_transforms": (TransformSpec.parse("kde:0.4"),),
+            "grid_alt_transforms": (TransformSpec.parse("power:1"), TransformSpec.uniform()),
             "annotation_num_questions": 5, "annotation_n_responses": 2,
             "annotation_models": {
                 "m": {"kind": "index", "path": (tmp_path / "x.idx").resolve()}
@@ -283,7 +286,7 @@ class TestConfigValidation:
                             "grid": {"train_transforms": ["identity", "power:1.0"]}}, tmp_path)
         assert cfg.sampling.transform.label() == "kde:0.4"
         assert cfg.eval.alternative_transform.label() == "power:-0.5"
-        assert cfg.grid_train_transforms == ("identity", "power:1")
+        assert tuple(s.label() for s in cfg.grid_train_transforms) == ("identity", "power:1")
 
     def test_one_transform_spelled_three_ways_is_one_grid_variant(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", SAMPLE,
@@ -300,7 +303,8 @@ class TestConfigValidation:
     ])
     def test_transform_flags_are_canonical(self, capsys, argv):
         args = build_parser().parse_args([*argv, "KDE:0.40"])
-        assert (args.transform if "train" in argv[0] else args.alternative_transform) == "kde:0.4"
+        spec = args.transform if "train" in argv[0] else args.alternative_transform
+        assert spec.label() == "kde:0.4"
         assert main([*argv, "power:xyz"]) == 2
         assert "bad transform parameter" in capsys.readouterr().err
         assert main([*argv, "uniform:bogus"]) == 2
@@ -785,7 +789,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("defect", [
         "rank-not-integer", "mark-not-integer", "empty-file", "key-line-without-tab",
         "key-line-not-integer", "not-utf8", "missing-rank-2", "duplicated-rank",
-        "fewer-ranks-than-other-question",
+        "fewer-ranks-than-other-question", "sheet-line-missing-from-key",
+        "key-line-names-no-sheet-line", "key-line-listed-twice", "header-only-sheet",
     ])
     def test_malformed_marked_annotation_exit_4(self, tmp_path, capsys, defect):
         anno = ["question_id\trank\tresponse\tmark"] + [
@@ -809,6 +814,14 @@ class TestSubcommands:
         elif defect == "fewer-ranks-than-other-question":
             anno += ["q2\t1\tresponse 1\t0", "q2\t2\tresponse 2\t0"]
             key += ["5\ta", "6\ta"]
+        elif defect == "sheet-line-missing-from-key":
+            del key[2]
+        elif defect == "key-line-names-no-sheet-line":
+            key += ["5\ta"]
+        elif defect == "key-line-listed-twice":
+            key += ["3\tb"]
+        elif defect == "header-only-sheet":
+            anno, key = anno[:1], key[:1]
         anno_path, key_path = tmp_path / "marked.tsv", tmp_path / "key.tsv"
         anno_path.write_text("".join(line + "\n" for line in anno), encoding="utf-8")
         key_path.write_text("\n".join(key) + "\n", encoding="utf-8")
@@ -818,6 +831,11 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("data error: annotation")
         assert "Traceback" not in err
+        where = {"sheet-line-missing-from-key": "annotation line 3: not in the annotation key",
+                 "key-line-names-no-sheet-line": "key line 5: line 5 is not a data line",
+                 "key-line-listed-twice": "key line 5: line 3 is already keyed on line 3",
+                 "header-only-sheet": "has no data rows"}
+        assert where.get(defect, "") in err
 
     @pytest.mark.parametrize("output_dir", ["afile", "afile/out"])
     def test_output_dir_blocked_by_a_file_exit_2(self, workspace, tmp_path, capsys, output_dir):
@@ -1061,6 +1079,22 @@ WRONG_VALUES = st.one_of(
 )
 
 
+DAMAGES = ["truncate", "flip", "invalid-utf8"]
+
+
+def damage_bytes(raw: bytes, damage: str, data) -> bytes:
+    """``raw`` cut short, with one byte flipped, or with invalid UTF-8 put in."""
+    raw = bytearray(raw)
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if damage == "truncate":
+        del raw[at:]
+    elif damage == "flip":
+        raw[at] ^= data.draw(st.integers(1, 255))
+    else:
+        raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]))
+    return bytes(raw)
+
+
 class TestConfigFuzz:
     """Whatever a config file holds, ingest exits 0, 2, 3 or 4 and never raises."""
 
@@ -1083,19 +1117,145 @@ class TestConfigFuzz:
         assert main(["ingest", "--config", str(path)]) in (0, 2, 3, 4)
 
     @settings(max_examples=300, deadline=None)
-    @given(damage=st.sampled_from(["truncate", "flip", "invalid-utf8"]), data=st.data())
+    @given(damage=st.sampled_from(DAMAGES), data=st.data())
     def test_damaged_bytes(self, fuzz_dir, damage, data):
         # No output_dir: no damage to the file can point the run elsewhere.
         config = write_config(fuzz_dir / "config.json", "corpus.jsonl",
                               paths={"corpus": "corpus.jsonl"})
-        raw = bytearray(config.read_bytes())
-        at = data.draw(st.integers(0, len(raw) - 1))
-        if damage == "truncate":
-            del raw[at:]
-        elif damage == "flip":
-            raw[at] ^= data.draw(st.integers(1, 255))
-        else:
-            raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]))
-        config.write_bytes(raw)
+        config.write_bytes(damage_bytes(config.read_bytes(), damage, data))
         code = main(["ingest", "--config", str(config)])
         assert code == 2 if damage == "invalid-utf8" else code in (0, 2, 3, 4)
+
+
+# Raw JSON or TSV text for a fuzzed value: huge integers, non-finite
+# numbers in every spelling, wrong types, line breaks, deep nesting.
+FUZZ_LITERALS = [
+    "1" + "0" * 5000, "-" + "9" * 400, "18446744073709551616", "NaN", "Infinity",
+    "-Infinity", "1e400", "-1e400", "nan", "inf", "-inf", "-1", "0", "", "null", "true",
+    "[]", "{}", '""', '"a\\nb"', "[" * 3000,
+]
+
+
+def mutated_lines(lines: list[str], data, mutate_line) -> list[str]:
+    """``lines`` with one line dropped, doubled or changed by ``mutate_line``."""
+    at = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["drop", "duplicate", "change"]))
+    if how == "drop":
+        return lines[:at] + lines[at + 1 :]
+    if how == "duplicate":
+        return lines[: at + 1] + lines[at:]
+    return lines[:at] + [mutate_line(lines[at], data)] + lines[at + 1 :]
+
+
+def mutated_field(line: str, sep: str, data) -> str:
+    """``line`` with one ``sep``-separated field replaced by a fuzz literal."""
+    fields = line.split(sep)
+    at = data.draw(st.integers(0, len(fields) - 1))
+    fields[at] = data.draw(st.sampled_from(FUZZ_LITERALS))
+    return sep.join(fields)
+
+
+def mutated_record(line: str, data) -> str:
+    """A corpus record with a key dropped, doubled or set to a fuzz literal."""
+    record = json.loads(line)
+    turn = record["turns"][0]
+    obj, key = data.draw(st.sampled_from(
+        [(record, "id"), (record, "turns"), (turn, "speaker"), (turn, "text")]
+    ))
+    how = data.draw(st.sampled_from(["drop", "duplicate", "literal"]))
+    if how == "drop":
+        del obj[key]
+        return json.dumps(record)
+    literal = data.draw(st.sampled_from(FUZZ_LITERALS))
+    if how == "duplicate":  # JSON keeps the last copy of a doubled key
+        literal = f'{json.dumps(obj[key])}, "{key}": {literal}'
+    obj[key] = "\0fuzz"
+    return json.dumps(record).replace(json.dumps("\0fuzz"), literal, 1)
+
+
+def survives(argv) -> None:
+    """``main(argv)`` exits 0 to 5 and prints no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert 0 <= code <= 5
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def text_fuzz_dir(fuzz_dir):
+    """Valid text inputs next to ``fuzz_dir``'s corpus, and the configs that read them."""
+    root = fuzz_dir / "text"
+    root.mkdir()
+    lines = (fuzz_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    (root / "corpus.jsonl").write_text("\n".join(lines[:12]) + "\n", encoding="utf-8")
+    write_config(root / "ingest.json", "corpus.jsonl", split={"train": 2, "dev": 1, "test": 1})
+    vocab = corpus_vocabulary(parse_dialogues(lines).dialogues)
+    (root / "emb.txt").write_text(f"{len(vocab)} 4\n" + "".join(
+        f"{tok} 0.5 -0.25 1e-3 2\n" for tok in vocab
+    ), encoding="utf-8")
+    write_config(root / "emb.json", fuzz_dir / "corpus.jsonl",
+                 paths={"corpus": str(fuzz_dir / "corpus.jsonl"), "embeddings": "emb.txt",
+                        "output_dir": "out_emb"},
+                 encoder={"variant": "gru", "dim": 4, "hidden": 4})
+    sheet, key = ["question_id\trank\tresponse\tmark"], ["line\tmodel"]
+    for q in range(3):
+        for model in ("a", "b"):
+            for rank in (1, 2):
+                sheet.append(f"q{q}\t{rank}\tresponse {q}{model}{rank}\t{(q + rank) % 4}")
+                key.append(f"{len(sheet)}\t{model}")
+    (root / "marked.tsv").write_text("\n".join(sheet) + "\n", encoding="utf-8")
+    (root / "key.tsv").write_text("\n".join(key) + "\n", encoding="utf-8")
+    # Each fuzzed input starts from one that its command accepts.
+    assert main(["ingest", "--config", str(root / "ingest.json")]) == 0
+    assert main(["build-trainset", "--config", str(root / "emb.json")]) == 0
+    assert main(["score-anno", "--anno", str(root / "marked.tsv"),
+                 "--key", str(root / "key.tsv")]) == 0
+    return root
+
+
+class TestTextInputFuzz:
+    """Whatever the corpus, embeddings, marked sheet or key hold, each command
+    that reads them exits 0 to 5 and prints no traceback."""
+
+    def fuzzed(self, path: Path, valid: str, data, mutate_line) -> None:
+        how = data.draw(st.sampled_from(["lines", *DAMAGES]))
+        if how == "lines":
+            lines = mutated_lines(valid.splitlines(), data, mutate_line)
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        else:
+            path.write_bytes(damage_bytes(valid.encode("utf-8"), how, data))
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_corpus_through_ingest(self, text_fuzz_dir, data):
+        corpus = text_fuzz_dir / "corpus.jsonl"
+        valid = corpus.read_text(encoding="utf-8")
+        try:
+            self.fuzzed(corpus, valid, data, mutated_record)
+            survives(["ingest", "--config", str(text_fuzz_dir / "ingest.json")])
+        finally:
+            corpus.write_text(valid, encoding="utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_embeddings_through_build_trainset(self, text_fuzz_dir, data):
+        embeddings = text_fuzz_dir / "emb.txt"
+        valid = embeddings.read_text(encoding="utf-8")
+        try:
+            self.fuzzed(embeddings, valid, data, lambda line, d: mutated_field(line, " ", d))
+            survives(["build-trainset", "--config", str(text_fuzz_dir / "emb.json")])
+        finally:
+            embeddings.write_text(valid, encoding="utf-8")
+
+    @settings(max_examples=250, deadline=None)
+    @given(which=st.sampled_from(["marked.tsv", "key.tsv"]), data=st.data())
+    def test_marked_sheet_and_key_through_score_anno(self, text_fuzz_dir, which, data):
+        path = text_fuzz_dir / which
+        valid = path.read_text(encoding="utf-8")
+        try:
+            self.fuzzed(path, valid, data, lambda line, d: mutated_field(line, "\t", d))
+            survives(["score-anno", "--anno", str(text_fuzz_dir / "marked.tsv"),
+                      "--key", str(text_fuzz_dir / "key.tsv")])
+        finally:
+            path.write_text(valid, encoding="utf-8")

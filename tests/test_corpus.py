@@ -17,6 +17,7 @@ from dialret.corpus import (
     parse_dialogues,
     split_corpus,
     tokenize,
+    write_split_manifest,
 )
 from dialret.errors import DataError
 
@@ -145,6 +146,46 @@ class TestParseDialogues:
         result = parse_dialogues([record("d", ("user", "   "), ("operator", "b"))])
         assert len(result.dialogues) == 0
         assert "empty" in result.errors[0].message
+
+    @pytest.mark.parametrize("dialogue_id", ["", "a\nb", "a\r\nb", "a\rb", "a\u2028b", "ab\n"])
+    def test_id_must_be_one_non_empty_line(self, dialogue_id):
+        lines = [record("a", ("user", "hi"), ("operator", "yo")),
+                 record(dialogue_id, ("user", "hi"), ("operator", "yo"))]
+        result = parse_dialogues(lines)
+        assert [d.id for d in result.dialogues] == ["a"]
+        [error] = result.errors
+        assert error.line_no == 2 and "not one non-empty line" in error.message
+        assert str(error).count("\n") == 0
+
+    def test_reused_id_is_rejected_naming_the_first_line(self):
+        lines = [record("d1", ("user", "hi"), ("operator", "yo")),
+                 record("d0", ("operator", "bad"), ("user", "order")),
+                 record("d0", ("user", "hi"), ("operator", "yo")),
+                 "",
+                 record("d1", ("user", "again"), ("operator", "yo")),
+                 json.dumps({"id": 0, "turns": [{"speaker": "user", "text": "a"},
+                                                {"speaker": "operator", "text": "b"}]}),
+                 record("0", ("user", "hi"), ("operator", "yo"))]
+        result = parse_dialogues(lines)
+        # d0 on line 2 was rejected, so line 3's d0 is the first one accepted.
+        assert [(d.id, d.turns[0].text) for d in result.dialogues] == [
+            ("d1", "hi"), ("d0", "hi"), ("0", "a")
+        ]
+        assert [(e.line_no, e.message) for e in result.errors[1:]] == [
+            (5, "dialogue id 'd1' already used on line 1"),
+            (7, "dialogue id '0' already used on line 6"),
+        ]
+
+    def test_split_manifests_list_each_parsed_id_once(self, tmp_path):
+        lines = [record(f"d{i % 7}", ("user", "hi"), ("operator", "yo")) for i in range(20)]
+        lines.insert(9, record("d7\nd0", ("user", "hi"), ("operator", "yo")))
+        dialogues = parse_dialogues(lines).dialogues
+        parts = split_corpus(dialogues, SplitSpec.from_ratio(3, 2, 2, seed=0))
+        listed = []
+        for name, part in zip(("train", "dev", "test"), parts):
+            write_split_manifest(tmp_path / f"{name}.ids", part)
+            listed += (tmp_path / f"{name}.ids").read_text(encoding="utf-8").splitlines()
+        assert sorted(listed) == sorted(d.id for d in dialogues) == [f"d{i}" for i in range(7)]
 
 
 class TestExtractPairs:

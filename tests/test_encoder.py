@@ -176,19 +176,19 @@ class TestEncode:
 
     def test_attention_single_token_returns_embedding(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
-        params = AttentionParams.create(6, np.random.default_rng(2))
+        params = AttentionParams.create(6, 6, np.random.default_rng(2))
         out = encode(params, emb, ["t4"])
         assert np.allclose(out, emb.matrix[emb.indices(["t4"])[0]], atol=1e-12)
 
     def test_attention_identical_tokens_convex(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=1)
-        params = AttentionParams.create(6, np.random.default_rng(2))
+        params = AttentionParams.create(6, 6, np.random.default_rng(2))
         out = encode(params, emb, ["t4", "t4"])
         assert np.allclose(out, emb.matrix[emb.indices(["t4"])[0]], atol=1e-12)
 
     def test_attention_weights_simplex(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=3)
-        params = AttentionParams.create(6, np.random.default_rng(4))
+        params = AttentionParams.create(6, 6, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         for _ in range(20):
             tokens = [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 9)))]
@@ -220,7 +220,7 @@ class TestEncode:
 
     def test_attention_is_order_invariant(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=8)
-        params = AttentionParams.create(6, np.random.default_rng(9))
+        params = AttentionParams.create(6, 6, np.random.default_rng(9))
         a = encode(params, emb, ["t1", "t2", "t3"])
         b = encode(params, emb, ["t3", "t2", "t1"])
         assert np.allclose(a, b, atol=1e-12)
@@ -234,7 +234,7 @@ class TestEncode:
         ]
         for params in (
             GruParams.create(6, 5, np.random.default_rng(12)),
-            AttentionParams.create(6, np.random.default_rng(13)),
+            AttentionParams.create(6, 6, np.random.default_rng(13)),
         ):
             batched = encode_batch(params, emb, seqs)
             for i, seq in enumerate(seqs):
@@ -267,14 +267,14 @@ class TestEncode:
             for _ in range(2 * ENCODE_BLOCK_ROWS + 7)
         ]
         for params in (random_gru(6, 5, seed=19),
-                       AttentionParams.create(6, np.random.default_rng(20))):
+                       AttentionParams.create(6, 6, np.random.default_rng(20))):
             batched = encode_batch(params, emb, seqs)
             single = np.array([encode(params, emb, seq) for seq in seqs])
             assert np.max(np.abs(batched - single)) < 1e-12
 
     def test_empty_tokens_rejected(self):
         emb = random_embeddings(tiny_vocab(), 6, 1.0, seed=0)
-        params = AttentionParams.create(6, np.random.default_rng(0))
+        params = AttentionParams.create(6, 6, np.random.default_rng(0))
         with pytest.raises(DataError):
             encode(params, emb, [])
 
@@ -290,7 +290,7 @@ class TestScorePair:
         # Single-token attention passes embeddings through untouched, so
         # unit vectors and an identity interaction give sigma(1).
         emb = EmbeddingTable({"ca": 0, "ra": 1}, np.array([[1.0, 0.0], [1.0, 0.0]]))
-        params = AttentionParams.create(2, np.random.default_rng(0))
+        params = AttentionParams.create(2, 2, np.random.default_rng(0))
         model = DualEncoderModel(emb, params, params, np.eye(2))
         assert score_pair(model, ["ca"], ["ra"]) == pytest.approx(0.7310585786300049, abs=1e-9)
 
@@ -332,7 +332,7 @@ class TestLossAndGradients:
     def test_perfect_prediction_zero_loss_and_grads(self):
         # Saturate the logit so p ~= 1 on a positive example.
         emb = EmbeddingTable({"a": 0, "b": 1}, np.array([[1.0, 0.0], [1.0, 0.0]]))
-        params = AttentionParams.create(2, np.random.default_rng(0))
+        params = AttentionParams.create(2, 2, np.random.default_rng(0))
         model = DualEncoderModel(emb, params, params, np.eye(2) * 50.0)
         loss, grads = loss_and_gradients(model, [TrainingExample(("a",), ("b",), 1, 0)])
         assert loss < 1e-12

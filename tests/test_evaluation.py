@@ -362,11 +362,13 @@ class TestBlockedScoring:
         model, index, pairs, dist = setup
         alts = {"identity": TransformSpec.identity(), "uniform": TransformSpec.uniform()}
         cfg = EvalConfig(ks=(1, 3), seed=28)
-        grid = cross_distribution_grid({"model": model, "index": index}, alts, pairs, dist, cfg)
+        grid = cross_distribution_grid(
+            {"model": model, "index": index}, columns(alts, cfg), pairs, dist
+        )
         for alt, spec in alts.items():
             cell_cfg = replace(cfg, alternative_transform=spec)
-            assert grid.report(alt, "model") == evaluate(model, pairs, dist, cell_cfg)
-            assert grid.report(alt, "index") == evaluate(index, pairs, dist, cell_cfg)
+            assert grid[alt, "model"] == evaluate(model, pairs, dist, cell_cfg)
+            assert grid[alt, "index"] == evaluate(index, pairs, dist, cell_cfg)
 
     def test_export_scores_each_question_like_the_per_pair_scorer(self, setup):
         model, index, pairs, _ = setup
@@ -403,6 +405,11 @@ def test_export_with_an_index_keeps_memory_to_one_tile():
     assert peak < 2 * tile_bytes + (1 << 20)
 
 
+def columns(alts, cfg):
+    """One copy of ``cfg`` per alternative transform, keyed like ``alts``."""
+    return {alt: replace(cfg, alternative_transform=spec) for alt, spec in alts.items()}
+
+
 class TestGrid:
     def test_two_by_two_shape(self):
         scorers = {"identity": OracleScorer(), "uniform": OracleScorer()}
@@ -411,10 +418,10 @@ class TestGrid:
             "uniform": TransformSpec.uniform(),
         }
         grid = cross_distribution_grid(
-            scorers, alts, make_test_pairs(30), uniform_dist(15), EvalConfig(seed=13)
+            scorers, columns(alts, EvalConfig(seed=13)), make_test_pairs(30), uniform_dist(15)
         )
-        assert len(grid.cells) == 4
-        assert set(grid.cells) == {(a, s) for a in alts for s in scorers}
+        assert len(grid) == 4
+        assert set(grid) == {(a, s) for a in alts for s in scorers}
 
     def test_identical_scorer_columns_equal(self):
         rng_a = np.random.default_rng(99)
@@ -432,17 +439,17 @@ class TestGrid:
             np.arange(1, 16) / np.arange(1, 16).sum(),
         )
         grid = cross_distribution_grid(
-            scorers, alts, make_test_pairs(60), skewed, EvalConfig(seed=14)
+            scorers, columns(alts, EvalConfig(seed=14)), make_test_pairs(60), skewed
         )
         for alt in alts:
-            assert grid.report(alt, "one").recalls == grid.report(alt, "two").recalls
+            assert grid[alt, "one"].recalls == grid[alt, "two"].recalls
 
     def test_table_formatting(self):
         scorers = {"identity": OracleScorer()}
         alts = {"identity": TransformSpec.identity()}
         grid = cross_distribution_grid(
-            scorers, alts, make_test_pairs(10), uniform_dist(15),
-            EvalConfig(ks=(1, 3), seed=15),
+            scorers, columns(alts, EvalConfig(ks=(1, 3), seed=15)),
+            make_test_pairs(10), uniform_dist(15),
         )
         table = format_grid_table(grid, (1, 3))
         lines = table.splitlines()

@@ -35,7 +35,7 @@ def attention_model(vocab_size=40, dim=8, seed=0, scale=1.0):
     # Single-token attention passes embeddings straight through, which
     # makes encoder outputs easy to reason about in these tests.
     emb = random_embeddings([f"t{i}" for i in range(vocab_size)], dim, scale, seed=seed)
-    params = AttentionParams.create(dim, np.random.default_rng(seed + 1))
+    params = AttentionParams.create(dim, dim, np.random.default_rng(seed + 1))
     return DualEncoderModel(emb, params, params, np.eye(dim))
 
 
@@ -51,7 +51,7 @@ class TestBuildHistoryIndex:
 
     def test_prenormalization_arithmetic(self):
         emb = EmbeddingTable({"c": 0, "r": 1}, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        params = AttentionParams.create(2, np.random.default_rng(0))
+        params = AttentionParams.create(2, 2, np.random.default_rng(0))
         model = DualEncoderModel(emb, params, params, np.eye(2))
         index = build_history_index(model, [pair(0, ["c"], ["r"])], response_weight=0.4)
         expected = np.array([1.0, 0.4])
@@ -71,7 +71,7 @@ class TestBuildHistoryIndex:
 
     def test_zero_norm_rejected(self):
         emb = EmbeddingTable({"z": 0}, np.array([[0.0, 0.0]]))
-        params = AttentionParams.create(2, np.random.default_rng(0))
+        params = AttentionParams.create(2, 2, np.random.default_rng(0))
         model = DualEncoderModel(emb, params, params, np.eye(2))
         with pytest.raises(DataError) as exc:
             build_history_index(model, [pair(7, ["z"], ["z"])])
@@ -109,7 +109,7 @@ class TestQueryNearest:
         emb = EmbeddingTable(
             {"a": 0, "b": 1, "c": 2}, np.eye(3)
         )
-        params = AttentionParams.create(3, np.random.default_rng(0))
+        params = AttentionParams.create(3, 3, np.random.default_rng(0))
         model = DualEncoderModel(emb, params, params, np.eye(3))
         pairs = [pair(0, ["a"], ["a"]), pair(1, ["b"], ["b"]), pair(2, ["c"], ["c"])]
         index = build_history_index(model, pairs, response_weight=0.0)
