@@ -186,7 +186,8 @@ class TransformSpec:
         """The canonical label, which ``parse`` maps back to this spec."""
         if self.kind not in ("power", "kde"):
             return self.kind
-        value = self.degree if self.kind == "power" else self.bandwidth
+        # Adding 0.0 maps -0.0 to 0.0, so both zeros share one label.
+        value = (self.degree if self.kind == "power" else self.bandwidth) + 0.0
         short = f"{value:g}"
         return f"{self.kind}:{short if float(short) == value else repr(value)}"
 

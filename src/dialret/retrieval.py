@@ -4,11 +4,14 @@ Each training pair is indexed by a history vector: the encoded context
 plus ``response_weight`` times the encoded response, unit-normalized
 after the addition. Queries encode the incoming context, normalize, and
 rank every row by dot product, which equals cosine because the rows are
-unit vectors. The scan is exact; no approximate index structures.
+unit vectors. The scan is exact: a float32 screen, built on an index's
+first query, drops only rows that provably cannot be in the top k, and
+the rest are rescored in float64. No approximate index structures.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,11 +49,13 @@ class HistoryIndex:
         model: DualEncoderModel | None = None,
         checkpoint_ref: str | None = None,
         checkpoint_sha256: str | None = None,
+        *, _copy: bool = True,
     ):
         self.response_weight = float(response_weight)
         self.pair_ids = np.asarray(pair_ids, dtype=np.int64)
-        # A read-only copy, so the checks below hold for the index's lifetime.
-        self.vectors = np.array(vectors, dtype=np.float64)
+        # Read-only (a copy, unless the caller gives the array up), so the
+        # checks below hold for the index's lifetime.
+        self.vectors = (np.array if _copy else np.asarray)(vectors, dtype=np.float64)
         self.vectors.flags.writeable = False
         self.responses = list(responses)
         self.model = model
@@ -75,6 +80,13 @@ class HistoryIndex:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @functools.cached_property
+    def _screen(self) -> np.ndarray:
+        """The rows as a read-only C-contiguous (dim, len) float32 array."""
+        screen = np.ascontiguousarray(self.vectors.T, dtype=np.float32)
+        screen.flags.writeable = False
+        return screen
+
     def _require_model(self) -> DualEncoderModel:
         if self.model is None:
             raise DataError(
@@ -86,12 +98,12 @@ class HistoryIndex:
 def history_rows(
     contexts: np.ndarray, responses: np.ndarray, response_weight: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``normalize(context + response_weight * response)`` and the norms
-    they were divided by; a row whose sum is zero stays zero."""
-    rows = contexts + response_weight * responses
-    norms = np.linalg.norm(rows, axis=1)
-    rows /= np.maximum(norms, 1e-300)[:, None]
-    return rows, norms
+    """Rows ``normalize(context + response_weight * response)``, computed in
+    ``contexts``, and the norms divided out; a zero row stays zero."""
+    contexts += response_weight * responses
+    norms = np.linalg.norm(contexts, axis=1)
+    contexts /= np.maximum(norms, 1e-300)[:, None]
+    return contexts, norms
 
 
 def build_history_index(
@@ -123,6 +135,7 @@ def build_history_index(
         model=model,
         checkpoint_ref=checkpoint_ref,
         checkpoint_sha256=checkpoint_sha256,
+        _copy=False,
     )
 
 
@@ -134,10 +147,8 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     scoring at least that much, and sort only those by (-score,
     position). Scores must be free of NaN.
     """
-    n = len(scores)
-    k = min(k, n)
-    kth = np.partition(scores, n - k)[n - k]
-    rows = np.flatnonzero(scores >= kth)
+    k = min(k, len(scores))
+    rows = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
     return rows[np.lexsort((rows, -scores[rows]))][:k]
 
 
@@ -146,9 +157,19 @@ def query_nearest(
 ) -> list[QueryHit]:
     """Top-k rows by cosine, ties broken by ascending pair id.
 
-    An exact scan: every stored row is scored against the normalized
-    query, and the top k are picked by partition rather than a full sort.
+    A float32 screen (``index._screen``, half the bytes) scores every row;
+    only rows that can still be in the top k are rescored in float64.
     ``top_k`` above the index size returns every row.
+
+    No hit is lost: rows and query have norm at most 1 + 1e-9, so a row's
+    screen value is within (dim + 2) * 2**-24 * (1 + tiny) of its exact
+    cosine (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1;
+    underflow adds under dim * 2**-148) and its float64 score within
+    dim * 2**-53. ``slack`` = 2 * (dim + 2) * 2**-23 covers both 4x over,
+    rounding the threshold included. So kth32, the k-th best screen value,
+    is within slack of the k-th best float64 score t64, and every row
+    scoring at least t64 clears ``kth32 - 2 * slack``: it is rescored and
+    ranked as a full scan would rank it, bitwise.
     """
     if top_k < 1:
         raise DataError("top_k must be at least 1")
@@ -160,17 +181,22 @@ def query_nearest(
     norm = np.linalg.norm(query)
     if norm > _NORM_EPS:
         query = query / norm
+    screen = query.astype(np.float32) @ index._screen
+    k = min(top_k, len(index))
+    slack = 2 * (index.dim + 2) * np.finfo(np.float32).eps
+    rows = np.flatnonzero(screen >= np.partition(screen, -k)[-k] - 2 * slack)
     # einsum without optimize is numpy's own loop, one dot product per
-    # row, not a BLAS matvec: every row is reduced by the same code over
-    # the same number of elements, so bitwise-identical rows get
-    # bitwise-identical scores, which the exact tie rule needs. Blocked
+    # row, not a BLAS matvec: each row is reduced by the same code however
+    # many rows are passed, so survivors keep their full-scan scores and
+    # identical rows tie bitwise, as the exact tie rule needs. Blocked
     # BLAS kernels can round identical rows differently.
-    scores = np.einsum("ij,j->i", index.vectors, query)
-    # Rows are stored in ascending pair-id order, so the row position is
-    # the tie key.
+    scores = np.einsum("ij,j->i", index.vectors[rows], query)
+    # Rows are stored in ascending pair-id order and ``rows`` ascends, so
+    # the position is the tie key.
+    top = _top_k_rows(scores, top_k)
     return [
-        QueryHit(int(index.pair_ids[i]), index.responses[i], float(scores[i]))
-        for i in _top_k_rows(scores, top_k)
+        QueryHit(int(index.pair_ids[i]), index.responses[i], float(score))
+        for i, score in zip(rows[top], scores[top])
     ]
 
 
@@ -211,6 +237,7 @@ def load_index(path, model: DualEncoderModel | None = None) -> HistoryIndex:
             model=model,
             checkpoint_ref=header["checkpoint_ref"],
             checkpoint_sha256=header["checkpoint_sha256"],
+            _copy=False,
         )
 
     return read_container(path, _IDX_MAGIC, "history index", build)

@@ -99,6 +99,11 @@ class TestTransformSpec:
         for spec in (TransformSpec.power(0.1234567), TransformSpec.kde_smoothed(1 / 3)):
             assert TransformSpec.parse(spec.label()) == spec
 
+    def test_negative_zero_degree_labels_as_zero(self):
+        for text in ("power:0", "power:-0", "power:-0.0", "power:-1e-400"):
+            assert TransformSpec.parse(text).label() == "power:0"
+        assert TransformSpec.power(-0.0).label() == "power:0"
+
     def test_parse_rejects_garbage(self):
         for bad in ("nope", "power:xyz", "kde:0") + ("power",):
             with pytest.raises(ConfigError):

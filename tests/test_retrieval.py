@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialret.corpus import ContextResponsePair
 from dialret.encoder import (
@@ -37,6 +42,44 @@ def attention_model(vocab_size=40, dim=8, seed=0, scale=1.0):
     emb = random_embeddings([f"t{i}" for i in range(vocab_size)], dim, scale, seed=seed)
     params = AttentionParams.create(dim, dim, np.random.default_rng(seed + 1))
     return DualEncoderModel(emb, params, params, np.eye(dim))
+
+
+def reference_scan(index, tokens, top_k):
+    """Pair ids and scores of the top_k rows of a full float64 einsum scan,
+    sorted by (-score, pair id)."""
+    query = index.model.encode_context(tokens)
+    norm = np.linalg.norm(query)
+    if norm > 1e-12:
+        query = query / norm
+    scores = np.einsum("ij,j->i", index.vectors, query)
+    order = sorted(range(len(index)), key=lambda r: (-scores[r], int(index.pair_ids[r])))
+    order = order[:top_k]
+    return [int(index.pair_ids[r]) for r in order], scores[order]
+
+
+def assert_matches_reference(index, tokens, top_k):
+    hits = query_nearest(index, tokens, top_k)
+    pair_ids, scores = reference_scan(index, tokens, top_k)
+    assert [h.pair_id for h in hits] == pair_ids
+    assert np.array([h.score for h in hits]).tobytes() == scores.tobytes()
+
+
+@st.composite
+def scan_problems(draw):
+    """A model whose token "zero" encodes to the zero vector, and pairs over
+    a few distinct tokens, so that many history rows repeat exactly."""
+    dim = draw(st.integers(1, 64))
+    distinct = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = {f"t{i}": i for i in range(distinct)} | {"zero": distinct}
+    matrix = np.vstack([rng.standard_normal((distinct, dim)), np.zeros(dim)])
+    params = AttentionParams.create(dim, dim, rng)
+    model = DualEncoderModel(EmbeddingTable(vocab, matrix), params, params, np.eye(dim))
+    token = st.sampled_from([f"t{i}" for i in range(distinct)])
+    pair_ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
+    pairs = [pair(i, [draw(token)], [draw(token)]) for i in pair_ids]
+    query = draw(st.lists(st.sampled_from(sorted(vocab)), min_size=1, max_size=3))
+    return model, pairs, query
 
 
 class TestBuildHistoryIndex:
@@ -246,6 +289,60 @@ class TestQueryNearest:
                 assert len(hits) == min(top_k, n)
                 assert [h.pair_id for h in hits] == list(index.pair_ids[reference])
                 assert [h.score for h in hits] == list(scores[reference])
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_problems(), st.booleans())
+    def test_equals_a_full_float64_scan(self, problem, through_file):
+        model, pairs, query = problem
+        index = build_history_index(model, pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            if through_file:
+                save_index(index, Path(tmp) / "h.idx")
+                index = load_index(Path(tmp) / "h.idx", model)
+            n = len(index)
+            for tokens in (query, ["zero"]):
+                for top_k in (1, 5, n, n + 3):
+                    assert_matches_reference(index, tokens, top_k)
+
+    def test_near_ties_inside_float32_error_keep_the_float64_order(self):
+        # Rows 60 degrees from the query, 1e-8 apart: their float64 scores
+        # differ by less than float32 rounding, so a float32 top k alone
+        # would miss true hits; the slack keeps them through the screen.
+        dim = 16
+        model = attention_model(vocab_size=20, dim=dim, seed=21)
+        query = model.encode_context(["t5"])
+        query = query / np.linalg.norm(query)
+        misses = 0
+        for seed in range(22, 27):
+            rng = np.random.default_rng(seed)
+            side = rng.standard_normal(dim)
+            side -= (side @ query) * query
+            side /= np.linalg.norm(side)
+            vectors = 0.5 * query + np.sqrt(0.75) * side + 1e-8 * rng.standard_normal((300, dim))
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+            index = self.index_of(vectors, model)
+            for top_k in (1, 5):
+                assert_matches_reference(index, ["t5"], top_k)
+                exact = np.einsum("ij,j->i", index.vectors, query)
+                screen = query.astype(np.float32) @ index._screen
+                best = np.argsort(-exact, kind="stable")[:top_k]
+                misses += bool(np.any(screen[best] < np.partition(screen, -top_k)[-top_k]))
+        assert misses > 0
+
+    def test_screen_is_read_only_and_built_on_the_first_query(self, tmp_path):
+        model = attention_model(seed=23)
+        built = build_history_index(model, [pair(i, [f"t{i}"], [f"t{i+9}"]) for i in range(12)])
+        save_index(built, tmp_path / "h.idx")
+        for index in (built, load_index(tmp_path / "h.idx", model)):
+            assert "_screen" not in vars(index)
+            query_nearest(index, ["t4"], top_k=3)
+            screen = vars(index)["_screen"]
+            assert screen.dtype == np.float32 and screen.flags.c_contiguous
+            assert np.array_equal(screen, index.vectors.T.astype(np.float32))
+            with pytest.raises(ValueError):
+                screen[0, 0] = 0.0
+            query_nearest(index, ["t5"], top_k=3)
+            assert vars(index)["_screen"] is screen
 
 
 class TestIndexPersistence:
